@@ -117,10 +117,3 @@ let address_taken_map (m : Modul.t) =
       | _ -> ())
     (Modul.globals m);
   map
-
-(** Labels of [fn]'s blocks whose address is taken via [Blockaddr]
-    anywhere in the module. Scans the whole module — when asking for
-    many functions, build {!address_taken_map} once instead. *)
-let address_taken_labels (fn : Func.t) (m : Modul.t) =
-  Option.value ~default:SSet.empty
-    (Hashtbl.find_opt (address_taken_map m) fn.Func.name)

@@ -10,8 +10,9 @@ type t = {
 }
 
 let compute (fn : Func.t) =
-  let order = Array.of_list (List.filter (fun b ->
-      Cfg.SSet.mem b.Func.label (Cfg.reachable fn)) (Cfg.rpo fn))
+  let live = Cfg.reachable fn in
+  let order =
+    Array.of_list (List.filter (fun b -> Cfg.SSet.mem b.Func.label live) (Cfg.rpo fn))
   in
   let n = Array.length order in
   let index =
@@ -50,6 +51,17 @@ let compute (fn : Func.t) =
     done
   end;
   { order; index; idom }
+
+(** Dominator-tree children: label -> labels of the blocks it immediately
+    dominates, in reverse post-order. *)
+let children t =
+  let children = Hashtbl.create 16 in
+  for i = Array.length t.order - 1 downto 1 do
+    let parent = t.order.(t.idom.(i)).Func.label in
+    let old = Option.value ~default:[] (Hashtbl.find_opt children parent) in
+    Hashtbl.replace children parent (t.order.(i).Func.label :: old)
+  done;
+  children
 
 let dominates t ~by ~target =
   match (SMap.find_opt by t.index, SMap.find_opt target t.index) with

@@ -71,19 +71,52 @@ let replace_uses fn name v =
   in
   map_values subst fn
 
-(** Fresh SSA name unique within this function, based on [hint]. *)
-let fresh_name fn hint =
+(** Name allocator: the SSA names in use plus, per hint, the lowest
+    suffix not yet known to be taken. Names are only ever added, so every
+    suffix below the counter stays taken and starting there finds the
+    same name as a scan from [hint.1]. *)
+type names = {
+  used : (string, unit) Hashtbl.t;
+  next : (string, int) Hashtbl.t;
+}
+
+let names fn =
   let used = Hashtbl.create 64 in
   List.iter (fun (_, p) -> Hashtbl.replace used p ()) fn.params;
   iter_insns (fun i -> if i.Ins.id <> "" then Hashtbl.replace used i.Ins.id ()) fn;
-  if not (Hashtbl.mem used hint) then hint
+  { used; next = Hashtbl.create 16 }
+
+let unused names hint =
+  if not (Hashtbl.mem names.used hint) then hint
   else begin
     let rec try_n n =
       let candidate = Printf.sprintf "%s.%d" hint n in
-      if Hashtbl.mem used candidate then try_n (n + 1) else candidate
+      if Hashtbl.mem names.used candidate then try_n (n + 1)
+      else begin
+        Hashtbl.replace names.next hint n;
+        candidate
+      end
     in
-    try_n 1
+    try_n (Option.value ~default:1 (Hashtbl.find_opt names.next hint))
   end
+
+let alloc names hint =
+  let name = unused names hint in
+  Hashtbl.replace names.used name ();
+  name
+
+let namer () =
+  let by_fn = Hashtbl.create 16 in
+  fun fn ->
+    match Hashtbl.find_opt by_fn fn.name with
+    | Some n -> n
+    | None ->
+      let n = names fn in
+      Hashtbl.replace by_fn fn.name n;
+      n
+
+(** Fresh SSA name unique within this function, based on [hint]. *)
+let fresh_name fn hint = unused (names fn) hint
 
 let fresh_label fn hint =
   let used = Hashtbl.create 16 in

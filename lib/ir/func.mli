@@ -54,6 +54,24 @@ val map_values : (Ins.value -> Ins.value) -> t -> unit
 (** Replace all uses of SSA register [name] with a value. *)
 val replace_uses : t -> string -> Ins.value -> unit
 
+(** A function's SSA names (parameters and instruction results), for
+    allocating many fresh names with one walk of the function. *)
+type names
+
+val names : t -> names
+
+(** The first of [hint], [hint.1], [hint.2], ... not in use, without
+    reserving it. *)
+val unused : names -> string -> string
+
+(** {!unused}, reserved: later calls never return it again. *)
+val alloc : names -> string -> string
+
+(** For a batch of edits over several functions: [namer ()] builds a
+    function's {!names} on first use and returns the same allocator for
+    that function afterwards. *)
+val namer : unit -> t -> names
+
 (** Fresh SSA name / block label unique within this function. *)
 val fresh_name : t -> string -> string
 

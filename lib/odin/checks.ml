@@ -19,7 +19,7 @@ type t = {
   mutable trips : int;
 }
 
-let insert_check (fn : Ir.Func.t) (cloned : Ir.Ins.ins) pid =
+let insert_check names (fn : Ir.Func.t) (cloned : Ir.Ins.ins) pid =
   let guarded =
     match cloned.Ir.Ins.kind with
     | Ir.Ins.Binop ((Ir.Ins.Sdiv | Ir.Ins.Udiv | Ir.Ins.Srem | Ir.Ins.Urem), _, divisor)
@@ -43,7 +43,7 @@ let insert_check (fn : Ir.Func.t) (cloned : Ir.Ins.ins) pid =
         match Ir.Ins.value_ty watched with
         | Ir.Types.I64 | Ir.Types.Ptr -> (watched, [])
         | _ ->
-          let name = Cmplog.gensym fn ~pid "chkarg" in
+          let name = Cmplog.gensym (names fn) ~pid "chkarg" in
           ( Ir.Ins.Reg (Ir.Types.I64, name),
             [
               Ir.Ins.mk ~volatile:true ~id:name ~ty:Ir.Types.I64
@@ -62,6 +62,7 @@ let insert_check (fn : Ir.Func.t) (cloned : Ir.Ins.ins) pid =
       blk.Ir.Func.insns <- insert_before blk.Ir.Func.insns)
 
 let patch (sched : Session.sched) =
+  let names = Ir.Func.namer () in
   List.iter
     (fun (p : Instr.Probe.t) ->
       match p.Instr.Probe.payload with
@@ -70,7 +71,7 @@ let patch (sched : Session.sched) =
           ( Session.map_func sched p.Instr.Probe.target,
             Session.map_ins sched c.Instr.Probe.chk_ins )
         with
-        | Some fn, Some cloned -> insert_check fn cloned p.Instr.Probe.pid
+        | Some fn, Some cloned -> insert_check names fn cloned p.Instr.Probe.pid
         | _ -> ())
       | _ -> ())
     sched.Session.active

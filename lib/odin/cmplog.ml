@@ -14,14 +14,15 @@ let runtime_fn = "__odin_on_cmp"
 type record = { rec_pid : int; rec_lhs : int64; rec_rhs : int64 }
 
 (* Fresh names must be unique even before the new instructions are
-   spliced into the function, so [Ir.Func.fresh_name] alone is not
-   enough — it cannot see names that are not inserted yet. Deriving the
-   name from the probe id (callers use distinct hints per operand)
-   keeps it unique AND a pure function of the probe, never of campaign
-   history: the printed fragment IR is the object-cache key and must be
-   identical whenever the same probe set is applied, and fragment
-   compiles run concurrently, so a shared counter is off the table. *)
-let gensym fn ~pid hint = Ir.Func.fresh_name fn (Printf.sprintf "%s.p%d" hint pid)
+   spliced into the function: [names] is the function's allocator for
+   the current patch pass, so it has seen every name reserved so far.
+   Deriving the name from the probe id (callers use distinct hints per
+   operand) keeps it unique AND a pure function of the probe, never of
+   campaign history: the printed fragment IR is the object-cache key and
+   must be identical whenever the same probe set is applied, and
+   fragment compiles run concurrently, so a shared counter is off the
+   table. *)
+let gensym names ~pid hint = Ir.Func.alloc names (Printf.sprintf "%s.p%d" hint pid)
 
 type t = {
   session : Session.t;
@@ -31,7 +32,7 @@ type t = {
 
 (* Insert the logging call before the (cloned) comparison. Operands are
    widened to i64 for the runtime call. *)
-let insert_log (fn : Ir.Func.t) (cloned : Ir.Ins.ins) pid =
+let insert_log names (fn : Ir.Func.t) (cloned : Ir.Ins.ins) pid =
   match cloned.Ir.Ins.kind with
   | Ir.Ins.Icmp (_, lhs, rhs) ->
     let host =
@@ -46,7 +47,7 @@ let insert_log (fn : Ir.Func.t) (cloned : Ir.Ins.ins) pid =
         match Ir.Ins.value_ty v with
         | Ir.Types.I64 | Ir.Types.Ptr -> (v, tail)
         | _ ->
-          let name = gensym fn ~pid hint in
+          let name = gensym (names fn) ~pid hint in
           let cast =
             Ir.Ins.mk ~volatile:true ~id:name ~ty:Ir.Types.I64 (Ir.Ins.Cast (Ir.Ins.Sext, v))
           in
@@ -68,6 +69,7 @@ let insert_log (fn : Ir.Func.t) (cloned : Ir.Ins.ins) pid =
   | _ -> ()
 
 let patch (sched : Session.sched) =
+  let names = Ir.Func.namer () in
   List.iter
     (fun (p : Instr.Probe.t) ->
       match p.Instr.Probe.payload with
@@ -76,7 +78,7 @@ let patch (sched : Session.sched) =
           ( Session.map_func sched p.Instr.Probe.target,
             Session.map_ins sched c.Instr.Probe.cmp_ins )
         with
-        | Some fn, Some cloned -> insert_log fn cloned p.Instr.Probe.pid
+        | Some fn, Some cloned -> insert_log names fn cloned p.Instr.Probe.pid
         | _ -> ())
       | _ -> ())
     sched.Session.active

@@ -10,10 +10,11 @@ val runtime_fn : string
 type record = { rec_pid : int; rec_lhs : int64; rec_rhs : int64 }
 
 (** Fresh SSA names that are unique even before splicing (shared with the
-    checks scheme). Derived from the probe id — deterministic across
+    checks scheme), reserved in the function's allocator of the current
+    patch pass. Derived from the probe id — deterministic across
     rebuilds, never from mutable campaign state, so printed fragment IR
     is stable enough to content-address. *)
-val gensym : Ir.Func.t -> pid:int -> string -> string
+val gensym : Ir.Func.names -> pid:int -> string -> string
 
 type t = {
   session : Session.t;

@@ -17,39 +17,12 @@ type t = {
   mutable pruned_total : int;
 }
 
-(* Register names already used by [fn], as a mutable set: one O(|fn|)
-   walk serves every probe on the function ([Ir.Func.fresh_name] walks
-   the whole function per call, which is quadratic when a function
-   carries many probes). *)
-let used_names (fn : Ir.Func.t) =
-  let used = Hashtbl.create 64 in
-  List.iter (fun (_, p) -> Hashtbl.replace used p ()) fn.Ir.Func.params;
-  Ir.Func.iter_insns
-    (fun (i : Ir.Ins.ins) ->
-      if i.Ir.Ins.id <> "" then Hashtbl.replace used i.Ir.Ins.id ())
-    fn;
-  used
-
-let fresh used hint =
-  let name =
-    if not (Hashtbl.mem used hint) then hint
-    else begin
-      let rec try_n n =
-        let candidate = Printf.sprintf "%s.%d" hint n in
-        if Hashtbl.mem used candidate then try_n (n + 1) else candidate
-      in
-      try_n 1
-    end
-  in
-  Hashtbl.replace used name ();
-  name
-
 (* Insert the counter-increment sequence at the head of [blk] (after any
    phis), as volatile instructions so no pass can elide or merge them. *)
-let insert_counter used (blk : Ir.Func.block) pid =
-  let ptr = fresh used "covp" in
-  let old = fresh used "covv" in
-  let incremented = fresh used "covi" in
+let insert_counter names (blk : Ir.Func.block) pid =
+  let ptr = Ir.Func.alloc names "covp" in
+  let old = Ir.Func.alloc names "covv" in
+  let incremented = Ir.Func.alloc names "covi" in
   let seq =
     [
       Ir.Ins.mk ~volatile:true ~id:ptr ~ty:Ir.Types.Ptr
@@ -71,11 +44,11 @@ let insert_counter used (blk : Ir.Func.block) pid =
   blk.Ir.Func.insns <- phis @ seq @ rest
 
 (* The patch logic: map each active coverage probe to the temporary IR
-   and insert its counter. The used-name set is computed once per target
-   function and shared by all its probes (a block-per-probe scheme can
-   put hundreds of probes on one function). *)
+   and insert its counter. One name allocator per target function serves
+   all its probes (a block-per-probe scheme can put hundreds of probes on
+   one function). *)
 let patch (sched : Session.sched) =
-  let names = Hashtbl.create 16 in
+  let names = Ir.Func.namer () in
   List.iter
     (fun (p : Instr.Probe.t) ->
       match p.Instr.Probe.payload with
@@ -83,16 +56,7 @@ let patch (sched : Session.sched) =
         match Session.map_func sched p.Instr.Probe.target with
         | Some fn when not (Ir.Func.is_declaration fn) -> (
           match Ir.Func.find_block fn c.Instr.Probe.cov_block with
-          | Some blk ->
-            let used =
-              match Hashtbl.find_opt names p.Instr.Probe.target with
-              | Some u -> u
-              | None ->
-                let u = used_names fn in
-                Hashtbl.replace names p.Instr.Probe.target u;
-                u
-            in
-            insert_counter used blk p.Instr.Probe.pid
+          | Some blk -> insert_counter (names fn) blk p.Instr.Probe.pid
           | None -> () (* block label vanished: stale probe, nothing to do *))
         | _ -> ())
       | _ -> ())

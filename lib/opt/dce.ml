@@ -4,32 +4,44 @@
 
 open Ir
 
+(* Use-count worklist: removing a dead instruction releases one use of
+   each operand, and a pure definition whose count reaches zero is dead
+   in turn. This removes the same instructions as re-counting every use
+   until nothing changes: those whose uses all end up removed. *)
 let run_function _ctx (fn : Func.t) =
-  let changed = ref false in
-  let continue_ = ref true in
-  while !continue_ do
-    continue_ := false;
-    let uses = Func.use_counts fn in
-    let used n = Option.value ~default:0 (Hashtbl.find_opt uses n) > 0 in
+  let uses = Func.use_counts fn in
+  let count n = Option.value ~default:0 (Hashtbl.find_opt uses n) in
+  let dead (i : Ins.ins) =
+    (not (Ins.has_side_effect i)) && (i.Ins.id = "" || count i.Ins.id = 0)
+  in
+  let work = ref (Func.fold_insns (fun acc i -> if dead i then i :: acc else acc) [] fn) in
+  if !work = [] then false
+  else begin
+    let pure_defs = Hashtbl.create 64 in
+    Func.iter_insns
+      (fun (i : Ins.ins) ->
+        if i.Ins.id <> "" && not (Ins.has_side_effect i) then
+          Hashtbl.add pure_defs i.Ins.id i)
+      fn;
+    let release = function
+      | Ins.Reg (_, n) ->
+        let c = count n - 1 in
+        Hashtbl.replace uses n c;
+        if c = 0 then work := Hashtbl.find_all pure_defs n @ !work
+      | _ -> ()
+    in
+    while !work <> [] do
+      match !work with
+      | [] -> ()
+      | i :: rest ->
+        work := rest;
+        List.iter release (Ins.operands i)
+    done;
     List.iter
-      (fun (b : Func.block) ->
-        let kept =
-          List.filter
-            (fun (i : Ins.ins) ->
-              let dead =
-                (not (Ins.has_side_effect i)) && (i.Ins.id = "" || not (used i.Ins.id))
-              in
-              if dead then begin
-                changed := true;
-                continue_ := true
-              end;
-              not dead)
-            b.Func.insns
-        in
-        b.Func.insns <- kept)
-      fn.Func.blocks
-  done;
-  !changed
+      (fun (b : Func.block) -> b.Func.insns <- List.filter (fun i -> not (dead i)) b.Func.insns)
+      fn.Func.blocks;
+    true
+  end
 
 let function_pass = Pass.function_pass "dce" run_function
 

@@ -54,21 +54,22 @@ let is_memory_barrier (i : Ins.ins) =
 
 module SMap = Map.Make (String)
 
+(* A redundant instruction's name is recorded in [subst] rather than
+   replaced throughout the function at once: the dominator walk applies
+   [subst] to each instruction's operands before numbering it (in SSA
+   every non-phi operand is defined, and so substituted, by then), and
+   one final [map_values] rewrites everything the walk left behind —
+   phis fed by back edges, terminators, unreachable blocks. *)
 let run_function _ctx (fn : Func.t) =
   if fn.Func.blocks = [] then false
   else begin
-    let changed = ref false in
-    let dom = Dom.compute fn in
-    (* dominator-tree children by label *)
-    let children = Hashtbl.create 16 in
-    Array.iteri
-      (fun i _ ->
-        if i > 0 then begin
-          let parent = dom.Dom.order.(dom.Dom.idom.(i)).Func.label in
-          let old = Option.value ~default:[] (Hashtbl.find_opt children parent) in
-          Hashtbl.replace children parent (old @ [ dom.Dom.order.(i).Func.label ])
-        end)
-      dom.Dom.order;
+    let subst : (string, Ins.value) Hashtbl.t = Hashtbl.create 16 in
+    let substitute v =
+      match v with
+      | Ins.Reg (_, n) -> Option.value ~default:v (Hashtbl.find_opt subst n)
+      | _ -> v
+    in
+    let children = Dom.children (Dom.compute fn) in
     let block_of = Hashtbl.create 16 in
     Func.iter_blocks (fun b -> Hashtbl.replace block_of b.Func.label b) fn;
     let rec walk label (avail : Ins.value SMap.t) =
@@ -80,6 +81,7 @@ let run_function _ctx (fn : Func.t) =
         let kept = ref [] in
         List.iter
           (fun (i : Ins.ins) ->
+            if Hashtbl.length subst > 0 then Ins.map_operands substitute i;
             if is_memory_barrier i then begin
               loads := SMap.empty;
               kept := i :: !kept
@@ -88,9 +90,7 @@ let run_function _ctx (fn : Func.t) =
               match key_of_ins i with
               | Some key -> (
                 match SMap.find_opt key !avail with
-                | Some v when i.Ins.id <> "" ->
-                  Func.replace_uses fn i.Ins.id v;
-                  changed := true
+                | Some v when i.Ins.id <> "" -> Hashtbl.replace subst i.Ins.id v
                 | _ ->
                   if i.Ins.id <> "" then
                     avail := SMap.add key (Ins.Reg (i.Ins.ty, i.Ins.id)) !avail;
@@ -99,9 +99,7 @@ let run_function _ctx (fn : Func.t) =
                 match load_key i with
                 | Some key -> (
                   match SMap.find_opt key !loads with
-                  | Some v when i.Ins.id <> "" ->
-                    Func.replace_uses fn i.Ins.id v;
-                    changed := true
+                  | Some v when i.Ins.id <> "" -> Hashtbl.replace subst i.Ins.id v
                   | _ ->
                     if i.Ins.id <> "" then
                       loads := SMap.add key (Ins.Reg (i.Ins.ty, i.Ins.id)) !loads;
@@ -114,7 +112,9 @@ let run_function _ctx (fn : Func.t) =
           (Option.value ~default:[] (Hashtbl.find_opt children label))
     in
     walk (List.hd fn.Func.blocks).Func.label SMap.empty;
-    !changed
+    let changed = Hashtbl.length subst > 0 in
+    if changed then Func.map_values substitute fn;
+    changed
   end
 
 let pass = Pass.function_pass "gvn" run_function

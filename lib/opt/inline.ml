@@ -19,23 +19,16 @@ let is_recursive (f : Func.t) =
     f;
   !rec_
 
-let has_blockaddr_of (m : Modul.t) (f : Func.t) =
-  let found = ref false in
-  let scan = function
-    | Ins.Blockaddr (g, _) when String.equal g f.Func.name -> found := true
-    | _ -> ()
-  in
-  List.iter
-    (function
-      | Modul.Fun g ->
-        Func.iter_blocks
-          (fun b ->
-            List.iter (fun i -> List.iter scan (Ins.operands i)) b.Func.insns;
-            List.iter scan (Ins.term_operands b.Func.term))
-          g
-      | _ -> ())
-    (Modul.globals m);
-  !found
+(* Targets of the [Blockaddr] operands in [f], one entry per operand. *)
+let blockaddr_targets (f : Func.t) =
+  let acc = ref [] in
+  let scan = function Ins.Blockaddr (g, _) -> acc := g :: !acc | _ -> () in
+  Func.iter_blocks
+    (fun b ->
+      List.iter (fun i -> List.iter scan (Ins.operands i)) b.Func.insns;
+      List.iter scan (Ins.term_operands b.Func.term))
+    f;
+  !acc
 
 (* Cost model: probes are volatile and count double, so instrumented
    callees inline less readily — this is precisely how instrument-first
@@ -48,12 +41,38 @@ let inline_cost (f : Func.t) =
     (List.length f.Func.blocks)
     f
 
-let should_inline (m : Modul.t) (caller : Func.t) (callee : Func.t) ~threshold =
-  (not (Func.is_declaration callee))
-  && (not (String.equal caller.Func.name callee.Func.name))
-  && (not (is_recursive callee))
-  && inline_cost callee <= threshold
-  && not (has_blockaddr_of m callee)
+(* The least N for a new [inl.<callee>.N] prefix: no label or register
+   of [caller] may be [inl.<callee>.N] itself or start with
+   [inl.<callee>.N.] followed by more characters — repeated inlining of
+   the same callee must not collide. One scan of the caller's names
+   collects the N they block. *)
+let free_suffix (caller : Func.t) (callee : Func.t) =
+  let base = "inl." ^ callee.Func.name ^ "." in
+  let bl = String.length base in
+  let blocked = Hashtbl.create 8 in
+  let note name =
+    let len = String.length name in
+    if len > bl && String.starts_with ~prefix:base name then begin
+      let stop =
+        match String.index_from_opt name bl '.' with
+        | None -> len
+        | Some d when d < len - 1 -> d
+        | Some _ -> bl (* [base ^ N ^ "."] blocks nothing *)
+      in
+      let digits = String.sub name bl (stop - bl) in
+      let canonical =
+        digits <> ""
+        && String.length digits <= 9
+        && String.for_all (fun c -> c >= '0' && c <= '9') digits
+        && (digits = "0" || digits.[0] <> '0')
+      in
+      if canonical then Hashtbl.replace blocked (int_of_string digits) ()
+    end
+  in
+  Func.iter_blocks (fun b -> note b.Func.label) caller;
+  Func.iter_insns (fun i -> if i.Ins.id <> "" then note i.Ins.id) caller;
+  let rec pick n = if Hashtbl.mem blocked n then pick (n + 1) else n in
+  pick 0
 
 (* Inline one call site. [call_ins] must be a direct call belonging to
    [caller]. Returns true on success. *)
@@ -66,30 +85,7 @@ let inline_site (caller : Func.t) (callee : Func.t) (call_ins : Ins.ins) =
   in
   match (host, call_ins.Ins.kind) with
   | Some host, Ins.Call (Ins.Direct _, args) ->
-    (* Pick a prefix such that no existing label or register starts with
-       it — repeated inlining of the same callee must not collide. *)
-    let prefix =
-      let taken = Hashtbl.create 64 in
-      Func.iter_blocks (fun b -> Hashtbl.replace taken b.Func.label ()) caller;
-      Func.iter_insns
-        (fun i -> if i.Ins.id <> "" then Hashtbl.replace taken i.Ins.id ())
-        caller;
-      let starts_with p =
-        Hashtbl.fold
-          (fun name () acc ->
-            acc
-            || String.length name > String.length p
-               && String.sub name 0 (String.length p) = p)
-          taken false
-      in
-      let rec pick n =
-        let candidate = Printf.sprintf "inl.%s.%d" callee.Func.name n in
-        if starts_with (candidate ^ ".") || Hashtbl.mem taken candidate then
-          pick (n + 1)
-        else candidate
-      in
-      pick 0
-    in
+    let prefix = Printf.sprintf "inl.%s.%d" callee.Func.name (free_suffix caller callee) in
     let rename_label l = prefix ^ "." ^ l in
     let rename_reg r = prefix ^ "." ^ r in
     (* clone callee body with renamed registers and labels *)
@@ -200,44 +196,98 @@ let inline_site (caller : Func.t) (callee : Func.t) (call_ins : Ins.ins) =
     true
   | _ -> false
 
+(* Sites are taken in module order — first function, first block, first
+   instruction — and the search restarts after every inline. Restarting
+   from the first function and re-deciding every site would be quadratic
+   in the module, so: each function's (recursive, cost) summary is
+   computed once and dropped only for the caller an inline mutates;
+   [Blockaddr] operands are reference-counted per target; and the scan
+   resumes at the host block of the last inline. Every site before that
+   point was rejected and stays rejected unless some callee became
+   inlinable: the caller itself, or a function whose last [Blockaddr]
+   reference went away. Only those two cases send the scan back to the
+   first function, so sites are taken in the same order as by a full
+   rescan. *)
 let run ?(threshold = default_threshold) (ctx : Pass.ctx) =
   let m = ctx.Pass.modul in
+  let funcs = Array.of_list (Modul.defined_functions m) in
+  let baddr = Hashtbl.create 16 in
+  let bump delta g =
+    Hashtbl.replace baddr g (delta + Option.value ~default:0 (Hashtbl.find_opt baddr g))
+  in
+  (* counted on first use, which precedes any inline: a module without
+     an inlinable callee never pays for the scan *)
+  let counted = lazy (Array.iter (fun f -> List.iter (bump 1) (blockaddr_targets f)) funcs) in
+  let count g =
+    Lazy.force counted;
+    Option.value ~default:0 (Hashtbl.find_opt baddr g)
+  in
+  let summaries = Hashtbl.create 64 in
+  let inlinable (f : Func.t) =
+    (not (Func.is_declaration f))
+    && (let recursive, cost =
+          match Hashtbl.find_opt summaries f.Func.name with
+          | Some s -> s
+          | None ->
+            let s = (is_recursive f, inline_cost f) in
+            Hashtbl.replace summaries f.Func.name s;
+            s
+        in
+        (not recursive) && cost <= threshold)
+    && count f.Func.name = 0
+  in
+  let site k (b : Func.block) =
+    List.find_map
+      (fun (i : Ins.ins) ->
+        match i.Ins.kind with
+        | Ins.Call (Ins.Direct name, _) when not i.Ins.volatile -> (
+          match Modul.find_func m name with
+          | Some callee
+            when (not (String.equal funcs.(k).Func.name name)) && inlinable callee ->
+            Some (k, b, callee, i)
+          | _ -> None)
+        | _ -> None)
+      b.Func.insns
+  in
+  (* first acceptable site in [blocks] of [funcs.(k)], then in the
+     functions after it *)
+  let rec find k blocks =
+    match List.find_map (site k) blocks with
+    | Some _ as found -> found
+    | None when k + 1 < Array.length funcs -> find (k + 1) funcs.(k + 1).Func.blocks
+    | None -> None
+  in
   let changed = ref false in
   let budget = ref 5000 in
-  (* bottom-up-ish: repeat until no more profitable sites *)
-  let continue_ = ref true in
-  while !continue_ && !budget > 0 do
-    continue_ := false;
-    let site =
-      List.find_map
-        (fun (caller : Func.t) ->
-          let found = ref None in
-          Func.iter_insns
-            (fun i ->
-              if !found = None then
-                match i.Ins.kind with
-                | Ins.Call (Ins.Direct callee_name, _) -> (
-                  match Modul.find_func m callee_name with
-                  | Some callee
-                    when (not i.Ins.volatile)
-                         && should_inline m caller callee ~threshold ->
-                    found := Some (caller, callee, i)
-                  | _ -> ())
-                | _ -> ())
-            caller;
-          !found)
-        (Modul.defined_functions m)
-    in
-    match site with
-    | None -> ()
-    | Some (caller, callee, call_ins) ->
-      if inline_site caller callee call_ins then begin
-        Pass.log_bond ctx caller.Func.name callee.Func.name "inline";
-        changed := true;
-        continue_ := true;
-        decr budget
-      end
-  done;
+  let rec loop k blocks =
+    if !budget > 0 then
+      match find k blocks with
+      | None -> ()
+      | Some (k, host, callee, call_ins) ->
+        let caller = funcs.(k) in
+        let was_inlinable = inlinable caller in
+        let before = blockaddr_targets caller in
+        if inline_site caller callee call_ins then begin
+          Pass.log_bond ctx caller.Func.name callee.Func.name "inline";
+          changed := true;
+          decr budget;
+          Hashtbl.remove summaries caller.Func.name;
+          List.iter (bump (-1)) before;
+          List.iter (bump 1) (blockaddr_targets caller);
+          if (not was_inlinable && inlinable caller)
+             || List.exists (fun g -> count g = 0) before
+          then loop 0 funcs.(0).Func.blocks
+          else begin
+            let rec from_host = function
+              | b :: _ as l when b == host -> l
+              | _ :: rest -> from_host rest
+              | [] -> []
+            in
+            loop k (from_host caller.Func.blocks)
+          end
+        end
+  in
+  if Array.length funcs > 0 then loop 0 funcs.(0).Func.blocks;
   !changed
 
 let pass = Pass.mk "inline" (fun ctx -> run ctx)

@@ -69,7 +69,10 @@ let run_function _ctx (fn : Func.t) =
               | _ -> ())
             b.Func.insns)
         fn;
-      (* Phi placement on iterated dominance frontiers. *)
+      (* Phi placement on iterated dominance frontiers. The function is
+         not modified until the renaming walk, so one name set serves
+         every phi. *)
+      let names = Func.names fn in
       let phis : (string, (string, Ins.ins) Hashtbl.t) Hashtbl.t =
         Hashtbl.create 16 (* block label -> (alloca -> phi ins) *)
       in
@@ -87,10 +90,10 @@ let run_function _ctx (fn : Func.t) =
         | None ->
           (* include the block label: phis for the same alloca in
              different blocks need distinct names, and the pending ones
-             are not yet visible to [fresh_name] *)
+             are not reserved in [names] *)
           let p =
             Ins.mk
-              ~id:(Func.fresh_name fn (Printf.sprintf "%s.phi.%s" alloca label))
+              ~id:(Func.unused names (Printf.sprintf "%s.phi.%s" alloca label))
               ~ty (Ins.Phi [])
           in
           Hashtbl.replace per_block alloca p;
@@ -118,19 +121,21 @@ let run_function _ctx (fn : Func.t) =
                 fr
           done)
         allocas;
-      (* Renaming walk over the dominator tree. *)
+      (* Renaming walk over the dominator tree. A promoted load's name is
+         recorded in [subst] and substituted into each instruction when
+         the walk reaches it — in SSA the definitions of its operands
+         were reached first — and one [map_values] after the walk covers
+         phis fed by back edges, terminators and unreachable blocks. *)
       let preds = Cfg.predecessors fn in
-      let children = Hashtbl.create 16 in
-      Array.iteri
-        (fun i _ ->
-          if i > 0 then begin
-            let parent = dom.Dom.order.(dom.Dom.idom.(i)).Func.label in
-            let old = Option.value ~default:[] (Hashtbl.find_opt children parent) in
-            Hashtbl.replace children parent (old @ [ dom.Dom.order.(i).Func.label ])
-          end)
-        dom.Dom.order;
+      let children = Dom.children dom in
       let block_of = Hashtbl.create 16 in
       Func.iter_blocks (fun b -> Hashtbl.replace block_of b.Func.label b) fn;
+      let subst = Hashtbl.create 64 in
+      let substitute v =
+        match v with
+        | Ins.Reg (_, n) -> Option.value ~default:v (Hashtbl.find_opt subst n)
+        | _ -> v
+      in
       let rec rename label (env : Ins.value SMap.t) =
         let b = Hashtbl.find block_of label in
         let env = ref env in
@@ -141,41 +146,17 @@ let run_function _ctx (fn : Func.t) =
           Hashtbl.iter
             (fun alloca (p : Ins.ins) -> env := SMap.add alloca (Ins.Reg (p.Ins.ty, p.Ins.id)) !env)
             per_block);
-        let subst = function
-          | Ins.Reg (_, _) as v -> v
-          | v -> v
-        in
-        ignore subst;
         let kept = ref [] in
         List.iter
           (fun (i : Ins.ins) ->
+            if Hashtbl.length subst > 0 then Ins.map_operands substitute i;
             match i.Ins.kind with
             | Ins.Alloca _ when Hashtbl.mem allocas i.Ins.id -> ()
             | Ins.Store (v, Ins.Reg (_, a)) when Hashtbl.mem allocas a ->
-              let v =
-                match v with
-                | Ins.Reg (ty, n) -> (
-                  match SMap.find_opt n !env with
-                  | Some _ when Hashtbl.mem allocas n -> Ins.Reg (ty, n)
-                  | _ -> v)
-                | _ -> v
-              in
               env := SMap.add a v !env
             | Ins.Load (Ins.Reg (_, a)) when Hashtbl.mem allocas a ->
-              let current =
-                match SMap.find_opt a !env with
-                | Some v -> v
-                | None -> Ins.Undef i.Ins.ty
-              in
-              Func.replace_uses fn i.Ins.id current;
-              (* Also update the environment values already captured. *)
-              env :=
-                SMap.map
-                  (fun v ->
-                    match v with
-                    | Ins.Reg (_, n) when String.equal n i.Ins.id -> current
-                    | v -> v)
-                  !env
+              Hashtbl.replace subst i.Ins.id
+                (Option.value ~default:(Ins.Undef i.Ins.ty) (SMap.find_opt a !env))
             | _ -> kept := i :: !kept)
           b.Func.insns;
         b.Func.insns <- List.rev !kept;
@@ -206,6 +187,7 @@ let run_function _ctx (fn : Func.t) =
       (match fn.Func.blocks with
       | [] -> ()
       | entry :: _ -> rename entry.Func.label SMap.empty);
+      if Hashtbl.length subst > 0 then Func.map_values substitute fn;
       (* Materialize the placed phis at block heads. *)
       Hashtbl.iter
         (fun label per_block ->

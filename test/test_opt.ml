@@ -794,6 +794,456 @@ int f(int x) {
       Ir.Verify.run_exn m2;
       interp m1 "f" [ Int64.of_int x ] = interp m2 "f" [ Int64.of_int x ])
 
+(* ---------------- edge cases of the linear-time passes ---------------- *)
+
+(* Each expected text pins a pass's exact output, fresh names and order
+   included: a faster pass must reproduce it byte for byte. *)
+let check_printed pass src expected =
+  let m = parse src in
+  ignore (run_pass pass m);
+  Alcotest.(check string) "printed IR" expected (Ir.Print.module_to_string m)
+
+let test_inline_prefix_choice () =
+  check_printed Opt.Inline.pass
+    {|
+define internal @f(i32 %x) i32 {
+entry:
+  %r = add i32 %x, 1
+  ret i32 %r
+}
+define external @main(i32 %a) i32 {
+entry:
+  %inl.f.0 = add i32 %a, 1
+  %inl.f.01 = add i32 %a, 2
+  br label %inl.f.1.x
+inl.f.1.x:
+  %inl.f.2. = add i32 %inl.f.0, %inl.f.01
+  %c = call i32 @f(i32 %inl.f.2.)
+  ret i32 %c
+}
+|}
+    {|; module parsed
+define internal @f(i32 %x) i32 {
+entry:
+  %r = add i32 %x, 1
+  ret i32 %r
+}
+
+define external @main(i32 %a) i32 {
+entry:
+  %inl.f.0 = add i32 %a, 1
+  %inl.f.01 = add i32 %a, 2
+  br label %inl.f.1.x
+inl.f.1.x:
+  %inl.f.2. = add i32 %inl.f.0, %inl.f.01
+  br label %inl.f.2.entry
+inl.f.2.entry:
+  %inl.f.2.r = add i32 %inl.f.2., 1
+  br label %inl.f.1.x.cont
+inl.f.1.x.cont:
+  ret i32 %inl.f.2.r
+}
+|}
+
+(* [mid] costs 31 (one block, 27 adds, one call: threshold 30) until the
+   empty callee is inlined into it, which brings it to 30: the site in
+   [user], rejected before, must then be taken. *)
+let test_inline_restart_after_caller_shrinks () =
+  let adds prefix =
+    String.concat ""
+      (List.init 27 (fun k -> Printf.sprintf "  %%%sv%d = add i32 %%x, %d\n" prefix k k))
+  in
+  check_printed Opt.Inline.pass
+    (Printf.sprintf
+       {|
+define external @user(i32 %%x) i32 {
+entry:
+  %%r = call i32 @mid(i32 %%x)
+  ret i32 %%r
+}
+define internal @mid(i32 %%x) i32 {
+entry:
+%s  call void @empty()
+  ret i32 %%v26
+}
+define internal @empty() void {
+entry:
+  ret void
+}
+|}
+       (adds ""))
+    (Printf.sprintf
+       {|; module parsed
+define external @user(i32 %%x) i32 {
+entry:
+  br label %%inl.mid.0.entry
+inl.mid.0.entry:
+%s  br label %%inl.mid.0.inl.empty.0.entry
+inl.mid.0.inl.empty.0.entry:
+  br label %%inl.mid.0.entry.cont
+inl.mid.0.entry.cont:
+  br label %%entry.cont
+entry.cont:
+  ret i32 %%inl.mid.0.v26
+}
+
+define internal @mid(i32 %%x) i32 {
+entry:
+%s  br label %%inl.empty.0.entry
+inl.empty.0.entry:
+  br label %%entry.cont
+entry.cont:
+  ret i32 %%v26
+}
+
+define internal @empty() void {
+entry:
+  ret void
+}
+|}
+       (adds "inl.mid.0.") (adds ""))
+
+(* [t]'s only blockaddress is an argument [ign] ignores: inlining [ign]
+   drops it, and the earlier site in [a] becomes inlinable. *)
+let test_inline_blockaddr_count_drops () =
+  check_printed Opt.Inline.pass
+    {|
+define internal @t(i32 %x) i32 {
+entry:
+  br label %next
+next:
+  %r = add i32 %x, 1
+  ret i32 %r
+}
+define internal @ign(ptr %p) void {
+entry:
+  ret void
+}
+define external @a(i32 %x) i32 {
+entry:
+  %r = call i32 @t(i32 %x)
+  ret i32 %r
+}
+define external @b() void {
+entry:
+  call void @ign(ptr blockaddress(@t, %next))
+  ret void
+}
+|}
+    {|; module parsed
+define internal @t(i32 %x) i32 {
+entry:
+  br label %next
+next:
+  %r = add i32 %x, 1
+  ret i32 %r
+}
+
+define internal @ign(ptr %p) void {
+entry:
+  ret void
+}
+
+define external @a(i32 %x) i32 {
+entry:
+  br label %inl.t.0.entry
+inl.t.0.entry:
+  br label %inl.t.0.next
+inl.t.0.next:
+  %inl.t.0.r = add i32 %x, 1
+  br label %entry.cont
+entry.cont:
+  ret i32 %inl.t.0.r
+}
+
+define external @b() void {
+entry:
+  br label %inl.ign.0.entry
+inl.ign.0.entry:
+  br label %entry.cont
+entry.cont:
+  ret void
+}
+|}
+
+let test_dead_arg_elim_address_taken () =
+  check_printed Opt.Dead_arg_elim.pass
+    {|
+@tab = internal constant [ptr x @via_var]
+@al = internal alias @via_alias
+define internal @via_var(i32 %unused, i32 %x) i32 {
+entry:
+  ret i32 %x
+}
+define internal @via_alias(i32 %unused, i32 %x) i32 {
+entry:
+  ret i32 %x
+}
+define internal @direct(i32 %unused, i32 %x) i32 {
+entry:
+  ret i32 %x
+}
+define external @main(i32 %x) i32 {
+entry:
+  %a = call i32 @via_var(i32 0, i32 %x)
+  %b = call i32 @via_alias(i32 1, i32 %a)
+  %c = call i32 @direct(i32 2, i32 %b)
+  ret i32 %c
+}
+|}
+    {|; module parsed
+@tab = internal constant [ptr x @via_var]
+
+@al = internal alias @via_alias
+
+define internal @via_var(i32 %unused, i32 %x) i32 {
+entry:
+  ret i32 %x
+}
+
+define internal @via_alias(i32 %unused, i32 %x) i32 {
+entry:
+  ret i32 %x
+}
+
+define internal @direct(i32 %x) i32 {
+entry:
+  ret i32 %x
+}
+
+define external @main(i32 %x) i32 {
+entry:
+  %a = call i32 @via_var(i32 0, i32 %x)
+  %b = call i32 @via_alias(i32 1, i32 %a)
+  %c = call i32 @direct(i32 %b)
+  ret i32 %c
+}
+|}
+
+(* %v, a promoted load, feeds the header phi %k over the back edge: its
+   replacement reaches the phi only after the walk *)
+let test_mem2reg_back_edge_phi () =
+  check_printed Opt.Mem2reg.pass
+    {|
+define external @f(i32 %n) i32 {
+entry:
+  %a = alloca i32, 1
+  store i32 0, ptr %a
+  br label %head
+head:
+  %k = phi i32 [ 0, %entry ], [ %v, %body ]
+  %x = load i32, ptr %a
+  %c = icmp slt i32 %x, %n
+  br i1 %c, label %body, label %exit
+body:
+  %v = load i32, ptr %a
+  %w = add i32 %v, %k
+  store i32 %w, ptr %a
+  br label %head
+exit:
+  ret i32 %x
+}
+|}
+    {|; module parsed
+define external @f(i32 %n) i32 {
+entry:
+  br label %head
+head:
+  %a.phi.head = phi i32 [ 0, %entry ], [ %w, %body ]
+  %k = phi i32 [ 0, %entry ], [ %a.phi.head, %body ]
+  %c = icmp slt i32 %a.phi.head, %n
+  br i1 %c, label %body, label %exit
+body:
+  %w = add i32 %a.phi.head, %k
+  br label %head
+exit:
+  ret i32 %a.phi.head
+}
+|}
+
+(* %next2 is replaced after the loop header's phi, which uses it, has
+   been visited *)
+let test_gvn_loop_header_phi () =
+  check_printed Opt.Gvn.pass
+    {|
+define external @f(i32 %n) i32 {
+entry:
+  %base = add i32 %n, 1
+  br label %head
+head:
+  %i = phi i32 [ 0, %entry ], [ %next2, %body ]
+  %c = icmp slt i32 %i, %n
+  br i1 %c, label %body, label %exit
+body:
+  %again = add i32 %n, 1
+  %next = add i32 %i, %again
+  %next2 = add i32 %again, %i
+  br label %head
+exit:
+  ret i32 %i
+}
+|}
+    {|; module parsed
+define external @f(i32 %n) i32 {
+entry:
+  %base = add i32 %n, 1
+  br label %head
+head:
+  %i = phi i32 [ 0, %entry ], [ %next, %body ]
+  %c = icmp slt i32 %i, %n
+  br i1 %c, label %body, label %exit
+body:
+  %next = add i32 %i, %base
+  br label %head
+exit:
+  ret i32 %i
+}
+|}
+
+let test_dce_chain_and_self_phi () =
+  check_printed Opt.Dce.pass
+    {|
+define external @f(i32 %x, i32 %n) i32 {
+entry:
+  %d1 = add i32 %x, 1
+  %d2 = mul i32 %d1, 2
+  %d3 = sub i32 %d2, %x
+  br label %loop
+loop:
+  %self = phi i32 [ 0, %entry ], [ %self, %loop ]
+  %q = phi i32 [ 0, %entry ], [ %q2, %loop ]
+  %q2 = add i32 %q, 1
+  %c = icmp slt i32 %q2, %n
+  br i1 %c, label %loop, label %exit
+exit:
+  ret i32 %x
+}
+|}
+    {|; module parsed
+define external @f(i32 %x, i32 %n) i32 {
+entry:
+  br label %loop
+loop:
+  %self = phi i32 [ 0, %entry ], [ %self, %loop ]
+  %q = phi i32 [ 0, %entry ], [ %q2, %loop ]
+  %q2 = add i32 %q, 1
+  %c = icmp slt i32 %q2, %n
+  br i1 %c, label %loop, label %exit
+exit:
+  ret i32 %x
+}
+|}
+
+(* ---------------- golden bit-identity ---------------- *)
+
+(* Digests of optimizer output and of linked images. Any drift in
+   inlining order, fresh names or pass output changes them, so every
+   optimizer speed-up must keep them. *)
+
+let golden_entry = "target_main"
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* A linked image as canonical bytes — data, symbol addresses, machine
+   code, each sorted — marshalled without sharing, so the digest does
+   not depend on how the heap happens to share values. *)
+let image_digest (exe : Link.Linker.exe) =
+  let sorted h = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [] |> List.sort compare in
+  let image =
+    List.sort compare
+      (List.map (fun (b, by) -> (b, Bytes.to_string by)) exe.Link.Linker.image)
+  in
+  md5
+    (Marshal.to_string
+       (image, sorted exe.Link.Linker.sym_addr, sorted exe.Link.Linker.funcs)
+       [ Marshal.No_sharing ])
+
+let golden_session ?mode ?(runtime_globals = []) m =
+  Odin.Session.create ?mode ~keep:[ golden_entry ] ~runtime_globals
+    ~host:Workloads.Generate.host_functions ~pool:Support.Pool.serial
+    ~incremental_link:true ~incremental_sched:true ~tiered:false m
+
+(* whole-module O2 of every profile but sqlite-xxl *)
+let golden_o2 () =
+  List.map
+    (fun (p : Workloads.Profile.t) ->
+      let m = Workloads.Generate.compile p in
+      ignore (Opt.Pipeline.run ~keep:[ golden_entry ] m);
+      ("o2/" ^ p.Workloads.Profile.name, md5 (Ir.Print.module_to_string m)))
+    Workloads.Profile.all
+
+(* Auto-partition coverage builds *)
+let golden_cov_builds () =
+  List.map
+    (fun name ->
+      let m = Workloads.Generate.compile (Workloads.Profile.find_exn name) in
+      let s =
+        golden_session ~mode:Odin.Partition.Auto
+          ~runtime_globals:[ Odin.Cov.runtime_global m ] m
+      in
+      ignore (Odin.Cov.setup s);
+      ignore (Odin.Session.build s);
+      ("cov-auto/" ^ name, image_digest (Odin.Session.executable s)))
+    [ "sqlite"; "json"; "freetype2" ]
+
+(* ten single-mutant refreshes on sqlite: the first ten of 30 evenly
+   spaced mutants whose image differs from the pristine one *)
+let golden_mutants () =
+  let s = golden_session (Workloads.Generate.compile (Workloads.Profile.find_exn "sqlite")) in
+  let mutants = Array.of_list (Mutate.Gen.setup s) in
+  ignore (Odin.Session.build s);
+  let pristine = image_digest (Odin.Session.executable s) in
+  let rec take k acc =
+    if List.length acc = 10 || k = 30 then List.rev acc
+    else begin
+      let p = mutants.(k * Array.length mutants / 30) in
+      ignore (Odin.Session.refresh_toggles s [ (p, true) ]);
+      let d = image_digest (Odin.Session.executable s) in
+      ignore (Odin.Session.refresh_toggles s [ (p, false) ]);
+      take (k + 1)
+        (if d = pristine then acc
+         else (Printf.sprintf "mutant/sqlite/%d" p.Instr.Probe.pid, d) :: acc)
+    end
+  in
+  ("pristine/sqlite", pristine) :: take 0 []
+
+let golden_expected =
+  [
+    ("o2/freetype2", "5d661c5018322a21c4bb970e13c24500");
+    ("o2/libjpeg", "9d39a526d1c1e893d9799a62bdb2db29");
+    ("o2/proj4", "5b263dd17455f1dbe7c35dafe9fbb63d");
+    ("o2/libpng", "3827a03f82dd8e77275b3a2e286237f4");
+    ("o2/re2", "dc722aaa4a5407fa5dcf8533c6271b52");
+    ("o2/harfbuzz", "7049e6d28eec159b51440f46065bf8d6");
+    ("o2/sqlite", "e9bef1c10101b03c8c0f22a77c994edc");
+    ("o2/json", "a886cb00c394398156dd26e1ba779192");
+    ("o2/libxml2", "0934f0d8967aa526f16a6594c83dc625");
+    ("o2/vorbis", "d5f5ef85eaf3a10731bf77a20bfa8c31");
+    ("o2/lcms", "ed857e73bb4374bc7a5213f3ec345019");
+    ("o2/woff2", "1d46ca63a231785da9e1ac4a6d896241");
+    ("o2/x509", "352812af1c70b35ff51141ce1a0f47f8");
+    ("cov-auto/sqlite", "7c6b265f2b157391ba44a17751b32d25");
+    ("cov-auto/json", "3df0bcfe18bd3c8d2484742ca4945825");
+    ("cov-auto/freetype2", "482be5602335a0bdc00d480f9fea053d");
+    ("pristine/sqlite", "0d1ccb8509e8e4578900ed7051b4f603");
+    ("mutant/sqlite/100", "7dc923ca6465ef759374de3452e10355");
+    ("mutant/sqlite/201", "27eab763a9f1d5250cbd48ca5537e726");
+    ("mutant/sqlite/403", "94e4a65c179dc4dac315201e72078a1c");
+    ("mutant/sqlite/706", "9a1d50d0ba2877a2356dfd4ac2075993");
+    ("mutant/sqlite/807", "18d2c09b87a4cbb2f045ca08509e2fe1");
+    ("mutant/sqlite/1110", "8b667458be4d5230c598a8ac7bc2a3c2");
+    ("mutant/sqlite/1211", "23241142f4563f30adf924e12450c3f5");
+    ("mutant/sqlite/1312", "dadfd3027a2c639dac0271411dc57a72");
+    ("mutant/sqlite/1413", "8e239471d09552db1d659f6b153d5886");
+    ("mutant/sqlite/1614", "187a7bc3ab911e097804683825af92a1");
+  ]
+
+let test_golden_digests () =
+  let actual = golden_o2 () @ golden_cov_builds () @ golden_mutants () in
+  Alcotest.(check (list string)) "keys" (List.map fst golden_expected) (List.map fst actual);
+  List.iter2
+    (fun (key, want) (_, got) -> Alcotest.(check string) key want got)
+    golden_expected actual
+
 let () =
   Alcotest.run "opt"
     [
@@ -802,6 +1252,7 @@ let () =
           Alcotest.test_case "removes allocas" `Quick test_mem2reg_removes_allocas;
           Alcotest.test_case "preserves semantics" `Quick test_mem2reg_preserves_semantics;
           Alcotest.test_case "keeps escaping alloca" `Quick test_mem2reg_keeps_escaping_alloca;
+          Alcotest.test_case "back-edge phi operand" `Quick test_mem2reg_back_edge_phi;
         ] );
       ( "constfold",
         [
@@ -824,6 +1275,8 @@ let () =
         [
           Alcotest.test_case "removes dead arg (Fig. 4)" `Quick test_dead_arg_elim_fig4;
           Alcotest.test_case "skips external" `Quick test_dead_arg_elim_skips_external;
+          Alcotest.test_case "address taken by var and alias" `Quick
+            test_dead_arg_elim_address_taken;
         ] );
       ( "simplifycfg",
         [
@@ -836,17 +1289,26 @@ let () =
           Alcotest.test_case "removes dead" `Quick test_dce_removes_dead_code;
           Alcotest.test_case "keeps probes" `Quick test_dce_keeps_probes;
           Alcotest.test_case "global dce" `Quick test_global_dce;
+          Alcotest.test_case "dead chain, self-referencing phi" `Quick
+            test_dce_chain_and_self_phi;
         ] );
       ( "gvn",
         [
           Alcotest.test_case "cse" `Quick test_gvn_cse;
           Alcotest.test_case "commutative" `Quick test_gvn_commutative;
           Alcotest.test_case "load invalidation" `Quick test_gvn_load_invalidation;
+          Alcotest.test_case "replaces a loop-header phi operand" `Quick
+            test_gvn_loop_header_phi;
         ] );
       ( "inline",
         [
           Alcotest.test_case "inlines small" `Quick test_inline_small_function;
           Alcotest.test_case "skips recursive" `Quick test_inline_skips_recursive;
+          Alcotest.test_case "prefix choice" `Quick test_inline_prefix_choice;
+          Alcotest.test_case "restart after caller shrinks" `Quick
+            test_inline_restart_after_caller_shrinks;
+          Alcotest.test_case "blockaddress count drops" `Quick
+            test_inline_blockaddr_count_drops;
         ] );
       ( "loop-unroll",
         [
@@ -868,5 +1330,6 @@ let () =
           Alcotest.test_case "shrinks code" `Quick test_pipeline_shrinks_code;
           QCheck_alcotest.to_alcotest prop_pipeline_preserves;
         ] );
+      ("golden", [ Alcotest.test_case "bit-identical digests" `Quick test_golden_digests ]);
     ]
 
