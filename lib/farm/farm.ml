@@ -61,6 +61,7 @@
 module Csync = Csync
 module Orch = Orch
 module Wire = Wire
+module Supervise = Supervise
 module Proc = Proc
 module Recorder = Telemetry.Recorder
 

@@ -22,6 +22,10 @@ module Orch = Orch
     format. *)
 module Wire = Wire
 
+(** Worker-process supervision (spawn, watchdog, restart, retire,
+    shutdown), shared by {!Proc} and the mutation campaign. *)
+module Supervise = Supervise
+
 (** The process-isolated driver: supervisor, preemptive watchdog,
     kill/restart, checkpoint/resume. *)
 module Proc = Proc

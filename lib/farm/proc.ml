@@ -25,19 +25,19 @@
 
     {2 Supervision}
 
+    The worker lifecycle — spawn and handshake, the preemptive
+    heartbeat watchdog, restart with re-send, retirement after
+    [max_restarts] with orphaned assignments moved to the lowest-id
+    live worker, shutdown — is {!Supervise}, shared with the mutation
+    campaign; this module owns only the Init/Assign/Items frames.
     Workers send a [Heartbeat] frame after applying round state and
-    after every completed slot. The supervisor's watchdog is
-    preemptive: no heartbeat for [worker_timeout] seconds ⇒ [SIGKILL],
-    restart, re-assign (same frame). A worker that dies more than
-    [max_restarts] times is retired and its outstanding assignment
-    moves to the lowest-id live worker — slot results do not depend on
-    who computes them. Each restart multiplies the worker's vote
-    weight by [fc_vote_decay] (weighted quorums: evidence from a crash
-    looping worker counts for less; 1.0 keeps exact integer quorums).
-    Fault sites: ["farm.heartbeat"] fires per heartbeat processed — an
-    injected fault is treated as a missed deadline (preemptive kill);
-    ["wire.send"] (in either process) and ["farm.checkpoint"] are
-    documented in {!Wire}.
+    after every completed slot. Each restart multiplies the worker's
+    vote weight by [fc_vote_decay] (weighted quorums: evidence from a
+    crash looping worker counts for less; 1.0 keeps exact integer
+    quorums). When every worker has retired, the campaign ends with
+    the barriers merged so far. Fault sites: ["farm.heartbeat"]
+    ({!Supervise}); ["wire.send"] (in either process) and
+    ["farm.checkpoint"] are documented in {!Wire}.
 
     {2 Checkpoint/resume}
 
@@ -60,28 +60,9 @@ module Recorder = Telemetry.Recorder
 (* Worker side                                                         *)
 (* ================================================================== *)
 
-(** Body of [odinc fuzz-worker] (and of the test/bench re-exec
-    shims): serve one worker's slot schedules over stdin/stdout until
-    [Shutdown]. Never returns; exits 0 on a clean shutdown, nonzero on
-    faults (the supervisor only cares about frames and pipe EOF, not
-    exit codes). Installs the [ODIN_FAULTS] plan from the environment,
-    so fault schedules can target workers without touching the
-    supervisor. *)
-let worker_main () =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  ignore (Support.Fault.init_from_env ());
-  let rd = Wire.reader Unix.stdin in
-  let send m = Wire.send Unix.stdout m in
-  let die reason code =
-    (try send (Wire.Died reason) with _ -> ());
-    exit code
-  in
-  let init =
-    match Wire.recv rd with
-    | Wire.Init i -> i
-    | _ -> die "protocol violation: expected Init" 64
-    | exception Wire.Wire_error _ -> exit 65
-  in
+(* Build the worker's session from the Init frame; returns the
+   per-assignment handler and the Ready frame. *)
+let worker_init (init : Wire.init) =
   let m = Ir.Parse.module_of_string ~name:init.Wire.in_mod_name init.Wire.in_mod_text in
   let session =
     Odin.Session.create ~mode:init.Wire.in_mode ~keep:[ init.Wire.in_entry ]
@@ -96,130 +77,91 @@ let worker_main () =
   (match Odin.Session.try_build session with
   | Odin.Session.Ok | Odin.Session.Degraded _ -> ()
   | Odin.Session.Rolled_back err ->
-    die ("initial build rolled back: " ^ err.Odin.Session.err_msg) 3);
+    failwith ("initial build rolled back: " ^ err.Odin.Session.err_msg));
   let probes : (int, Instr.Probe.t) Hashtbl.t = Hashtbl.create 97 in
   List.iter
     (fun (p : Instr.Probe.t) -> Hashtbl.replace probes p.Instr.Probe.pid p)
     (Instr.Manager.to_list session.Odin.Session.manager);
-  (try
-     send (Wire.Ready { rd_id = init.Wire.in_id; rd_n_probes = cov.Odin.Cov.total_probes })
-   with Wire.Wire_error _ -> exit 70);
   let applied : (int, unit) Hashtbl.t = Hashtbl.create 97 in
   let default_input = match init.Wire.in_seeds with s :: _ -> s | [] -> "\x00" in
-  let rec serve () =
-    (match Wire.recv rd with
-    | Wire.Shutdown -> exit 0
-    | Wire.Assign a -> (
-      (* stateless round context: rebuild the shard replica, apply any
-         prunes this process has not seen yet, refresh if needed *)
-      let corpus = Fuzzer.Corpus.create () in
-      Orch.replay_corpus corpus a.Wire.as_corpus;
-      let fresh_prunes =
-        List.filter (fun pid -> not (Hashtbl.mem applied pid)) a.Wire.as_pruned
-      in
-      List.iter
-        (fun pid ->
-          Hashtbl.replace applied pid ();
-          match Hashtbl.find_opt probes pid with
-          | Some p -> Instr.Manager.remove session.Odin.Session.manager p
-          | None -> ())
-        fresh_prunes;
-      (* tier promotions: re-derive the cumulative promotion set from
-         the merged profile the supervisor sent. promote_hot is
-         idempotent, so a long-lived process queues only what is new —
-         and a freshly restarted one catches up on everything at once *)
-      let fresh_promos =
-        if init.Wire.in_promote_share > 0. then
-          Odin.Session.promote_hot ~threshold:init.Wire.in_promote_share
-            session a.Wire.as_fn_cycles
-        else []
-      in
-      let recompiles = ref 0 in
-      if
-        fresh_prunes <> [] || fresh_promos <> []
-        || Odin.Session.degraded_fragments session <> []
-      then (
-        match Odin.Session.try_refresh session with
-        | Some (Odin.Session.Ok | Odin.Session.Degraded _) -> incr recompiles
-        | Some (Odin.Session.Rolled_back _) | None -> ());
-      let items = ref [] and done_slots = ref 0 in
-      let skipped = ref 0 and crashes = ref 0 in
-      try
-        send (Wire.Heartbeat { hb_round = a.Wire.as_round; hb_done = 0 });
-        List.iter
-          (fun idx ->
-            (match
-               Orch.exec_slot ~seed:init.Wire.in_seed ~entry:init.Wire.in_entry
-                 ~host:init.Wire.in_host ~seeds:init.Wire.in_seeds
-                 ~default_input ~session
-                 ~total_probes:cov.Odin.Cov.total_probes ~corpus idx
-             with
-            | item -> items := item :: !items
-            | exception Support.Fault.Transient_fault _ -> incr skipped
-            | exception Vm.Fault _ -> incr crashes);
-            incr done_slots;
-            send (Wire.Heartbeat { hb_round = a.Wire.as_round; hb_done = !done_slots }))
-          a.Wire.as_slots;
-        send
-          (Wire.Items
-             {
-               im_round = a.Wire.as_round;
-               im_items = List.rev !items;
-               im_skipped = !skipped;
-               im_crashes = !crashes;
-               im_recompiles = !recompiles;
-             })
-      with
-      | Wire.Wire_error _ ->
-        (* a torn/failed send means this process can no longer speak the
-           protocol; die and let the supervisor restart cleanly *)
-        exit 70
-      | Support.Fault.Injected site ->
-        die (Printf.sprintf "injected fault at %s" site) 2
-      | Support.Fault.Timed_out site ->
-        die (Printf.sprintf "timed out at %s" site) 2
-      | Vm.Fault _ as e | e -> die (Printexc.to_string e) 2)
-    | Wire.Init _ | Wire.Ready _ | Wire.Heartbeat _ | Wire.Items _
-    | Wire.Died _ | Wire.Checkpoint _ | Wire.Blob _ ->
-      die "protocol violation: unexpected frame" 64
-    | exception Wire.Wire_error _ ->
-      (* supervisor went away (EOF / torn pipe): nothing to report to *)
-      exit 66);
-    serve ()
+  let run_assign ~send (a : Wire.assign) =
+    (* stateless round context: rebuild the shard replica, apply any
+       prunes this process has not seen yet, refresh if needed *)
+    let corpus = Fuzzer.Corpus.create () in
+    Orch.replay_corpus corpus a.Wire.as_corpus;
+    let fresh_prunes =
+      List.filter (fun pid -> not (Hashtbl.mem applied pid)) a.Wire.as_pruned
+    in
+    List.iter
+      (fun pid ->
+        Hashtbl.replace applied pid ();
+        match Hashtbl.find_opt probes pid with
+        | Some p -> Instr.Manager.remove session.Odin.Session.manager p
+        | None -> ())
+      fresh_prunes;
+    (* tier promotions: re-derive the cumulative promotion set from
+       the merged profile the supervisor sent. promote_hot is
+       idempotent, so a long-lived process queues only what is new —
+       and a freshly restarted one catches up on everything at once *)
+    let fresh_promos =
+      if init.Wire.in_promote_share > 0. then
+        Odin.Session.promote_hot ~threshold:init.Wire.in_promote_share
+          session a.Wire.as_fn_cycles
+      else []
+    in
+    let recompiles = ref 0 in
+    if
+      fresh_prunes <> [] || fresh_promos <> []
+      || Odin.Session.degraded_fragments session <> []
+    then (
+      match Odin.Session.try_refresh session with
+      | Some (Odin.Session.Ok | Odin.Session.Degraded _) -> incr recompiles
+      | Some (Odin.Session.Rolled_back _) | None -> ());
+    let items = ref [] and done_slots = ref 0 in
+    let skipped = ref 0 and crashes = ref 0 in
+    send (Wire.Heartbeat { hb_round = a.Wire.as_round; hb_done = 0 });
+    List.iter
+      (fun idx ->
+        (match
+           Orch.exec_slot ~seed:init.Wire.in_seed ~entry:init.Wire.in_entry
+             ~host:init.Wire.in_host ~seeds:init.Wire.in_seeds
+             ~default_input ~session
+             ~total_probes:cov.Odin.Cov.total_probes ~corpus idx
+         with
+        | item -> items := item :: !items
+        | exception Support.Fault.Transient_fault _ -> incr skipped
+        | exception Vm.Fault _ -> incr crashes);
+        incr done_slots;
+        send (Wire.Heartbeat { hb_round = a.Wire.as_round; hb_done = !done_slots }))
+      a.Wire.as_slots;
+    send
+      (Wire.Items
+         {
+           im_round = a.Wire.as_round;
+           im_items = List.rev !items;
+           im_skipped = !skipped;
+           im_crashes = !crashes;
+           im_recompiles = !recompiles;
+         })
   in
-  serve ()
+  ( run_assign,
+    Wire.Ready { rd_id = init.Wire.in_id; rd_n_probes = cov.Odin.Cov.total_probes } )
+
+(** Body of [odinc fuzz-worker] (and of the test/bench re-exec
+    shims): serve one worker's slot schedules over stdin/stdout until
+    [Shutdown] ({!Supervise.serve}). *)
+let worker_main () =
+  Supervise.serve ~quit:ignore
+    ~init:(function
+      | Wire.Init i -> worker_init i
+      | _ -> failwith "protocol violation: expected Init")
+    ~work:(fun run_assign ~send -> function
+      | Wire.Assign a -> run_assign ~send a
+      | _ -> failwith "protocol violation: unexpected frame")
 
 (* ================================================================== *)
 (* Supervisor side                                                     *)
 (* ================================================================== *)
-
-type pworker = {
-  pw_id : int;
-  mutable pw_pid : int;
-  mutable pw_in : Unix.file_descr;  (** supervisor → worker stdin *)
-  mutable pw_out : Wire.reader;  (** worker stdout → supervisor *)
-  mutable pw_weight : float;  (** current vote weight (decays on restart) *)
-  mutable pw_restarts : int;
-  mutable pw_retired : string option;
-  mutable pw_last_seen : float;
-  mutable pw_queue : Wire.assign list;  (** outstanding assignments, FIFO *)
-  mutable pw_skipped : int;
-  mutable pw_crashes : int;
-  mutable pw_recompiles : int;
-}
-
-exception All_workers_retired
-
-let spawn_process argv env =
-  (* cloexec pipes: create_process's dup2 onto the std fds clears the
-     flag for the child's own copies, and other children don't inherit
-     this worker's pipe ends *)
-  let out_r, out_w = Unix.pipe ~cloexec:true () in
-  let in_r, in_w = Unix.pipe ~cloexec:true () in
-  let pid = Unix.create_process_env argv.(0) argv env in_r out_w Unix.stderr in
-  Unix.close in_r;
-  Unix.close out_w;
-  (pid, in_w, out_r)
 
 (** Run a process farm over [base]: same contract and result shape as
     the domains driver ({!Farm.run}), plus supervision and
@@ -255,8 +197,6 @@ let run ?telemetry ?cache_dir ?incremental_link ?incremental_sched ?journal
     | Some a -> a
     | None -> [| Sys.executable_name; "fuzz-worker" |]
   in
-  let env = match worker_env with Some e -> e | None -> Unix.environment () in
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let digest = Orch.module_digest base in
   let mod_text = Ir.Print.module_to_string base in
   let farm_sp =
@@ -296,138 +236,36 @@ let run ?telemetry ?cache_dir ?incremental_link ?incremental_sched ?journal
       in_promote_share = cfg.Orch.fc_promote_share;
     }
   in
-  let retired_log = ref [] in
-  let total_restarts = ref 0 in
-  (* ---- worker lifecycle ------------------------------------------- *)
-  let reap w reason =
-    (try Unix.kill w.pw_pid Sys.sigkill with Unix.Unix_error _ -> ());
-    (try ignore (Unix.waitpid [] w.pw_pid) with Unix.Unix_error _ -> ());
-    (try Unix.close w.pw_in with Unix.Unix_error _ -> ());
-    (try Unix.close w.pw_out.Wire.rd_fd with Unix.Unix_error _ -> ());
-    Recorder.count (Some r) "farm.worker_deaths";
-    ignore reason
-  in
-  (* spawn + Init, then wait for Ready (bounded). *)
-  let start w =
-    let pid, fin, fout = spawn_process argv env in
-    w.pw_pid <- pid;
-    w.pw_in <- fin;
-    w.pw_out <- Wire.reader fout;
-    w.pw_last_seen <- Unix.gettimeofday ();
-    match
-      Wire.send w.pw_in (Wire.Init (init_for w.pw_id));
-      let deadline = Unix.gettimeofday () +. max worker_timeout 5. in
-      let rec await () =
-        match Wire.next w.pw_out with
-        | Some (Wire.Ready { rd_n_probes; _ }) -> Ok rd_n_probes
-        | Some (Wire.Died reason) -> Error reason
-        | Some _ -> Error "protocol violation in handshake"
-        | None ->
-          if Unix.gettimeofday () > deadline then Error "handshake timeout"
-          else (
-            match Unix.select [ w.pw_out.Wire.rd_fd ] [] [] 0.1 with
-            | [], _, _ -> await ()
-            | _ -> (
-              match Wire.feed w.pw_out with
-              | `Eof -> Error "worker exited during handshake"
-              | `Read _ -> await ()))
-      in
-      await ()
-    with
-    | result -> result
-    | exception Wire.Wire_error m -> Error m
-  in
-  let mk_worker id =
+  (* per-worker vote weights (decayed on restart) and substrate counters *)
+  let weights = Array.make nw 1.0 in
+  let skipped = Array.make nw 0 and crashes = Array.make nw 0 in
+  let recompiles = Array.make nw 0 in
+  let sum a = Array.fold_left ( + ) 0 a in
+  let proto =
     {
-      pw_id = id;
-      pw_pid = -1;
-      pw_in = Unix.stdin;
-      pw_out = Wire.reader Unix.stdin;
-      pw_weight = 1.0;
-      pw_restarts = 0;
-      pw_retired = None;
-      pw_last_seen = 0.;
-      pw_queue = [];
-      pw_skipped = 0;
-      pw_crashes = 0;
-      pw_recompiles = 0;
+      Supervise.init = (fun id -> Wire.Init (init_for id));
+      ready = (function Wire.Ready { rd_n_probes; _ } -> Some rd_n_probes | _ -> None);
+      assign = (fun a -> Wire.Assign a);
+      round_of = (fun a -> a.Wire.as_round);
+      result = (function Wire.Items im -> Some (im.Wire.im_round, im) | _ -> None);
     }
   in
-  let ws = Array.init nw mk_worker in
-  let alive () =
-    Array.to_list ws |> List.filter (fun w -> w.pw_retired = None)
+  let sup, n_probes =
+    Telemetry.Span.with_span r.Recorder.spans ~cat:"farm" "spawn" (fun () ->
+        Supervise.start ~telemetry:r ?env:worker_env ~prefix:"farm" ~argv
+          ~timeout:worker_timeout ~max_restarts ~workers:nw
+          ~on_restart:(fun id -> weights.(id) <- weights.(id) *. cfg.Orch.fc_vote_decay)
+          proto)
   in
-  (* restart-or-retire; re-dispatches the dead worker's outstanding
-     assignments (to itself after a restart, to the lowest-id live
-     worker after retirement). *)
-  let rec on_death w reason =
-    if w.pw_retired = None then begin
-      reap w reason;
-      if w.pw_restarts < max_restarts then begin
-        w.pw_restarts <- w.pw_restarts + 1;
-        incr total_restarts;
-        Recorder.count (Some r) "farm.worker_restarts";
-        w.pw_weight <- w.pw_weight *. cfg.Orch.fc_vote_decay;
-        match start w with
-        | Ok _ -> (
-          try List.iter (fun a -> Wire.send w.pw_in (Wire.Assign a)) w.pw_queue
-          with Wire.Wire_error m -> on_death w ("resend failed: " ^ m))
-        | Error m -> on_death w ("restart failed: " ^ m)
-      end
-      else begin
-        w.pw_retired <- Some reason;
-        retired_log := (w.pw_id, reason) :: !retired_log;
-        let orphans = w.pw_queue in
-        w.pw_queue <- [];
-        match alive () with
-        | [] -> raise All_workers_retired
-        | h :: _ ->
-          if orphans <> [] then begin
-            h.pw_queue <- h.pw_queue @ orphans;
-            try List.iter (fun a -> Wire.send h.pw_in (Wire.Assign a)) orphans
-            with Wire.Wire_error m -> on_death h ("orphan reassign failed: " ^ m)
-          end
-      end
-    end
-  in
-  (* ---- initial fleet ---------------------------------------------- *)
-  let n_probes = ref (-1) in
-  Telemetry.Span.with_span r.Recorder.spans ~cat:"farm" "spawn" (fun () ->
-      Array.iter
-        (fun w ->
-          let rec boot attempts =
-            match start w with
-            | Ok np ->
-              if !n_probes < 0 then n_probes := np
-              else if np <> !n_probes then (
-                reap w "probe-count mismatch";
-                w.pw_retired <- Some "probe-count mismatch";
-                retired_log := (w.pw_id, "probe-count mismatch") :: !retired_log)
-            | Error m ->
-              reap w m;
-              if attempts < max_restarts then begin
-                w.pw_restarts <- w.pw_restarts + 1;
-                incr total_restarts;
-                Recorder.count (Some r) "farm.worker_restarts";
-                w.pw_weight <- w.pw_weight *. cfg.Orch.fc_vote_decay;
-                boot (attempts + 1)
-              end
-              else begin
-                w.pw_retired <- Some m;
-                retired_log := (w.pw_id, m) :: !retired_log
-              end
-          in
-          boot 0)
-        ws);
-  let n_probes = max 0 !n_probes in
+  Fun.protect ~finally:(fun () -> Supervise.shutdown sup) @@ fun () ->
   let orch =
     match resume with
     | Some ck ->
-      if ck.Orch.ck_n_probes <> n_probes && alive () <> [] then
+      if ck.Orch.ck_n_probes <> n_probes && Supervise.live sup <> [] then
         invalid_arg "Proc.run: checkpoint probe count differs from the target";
       let t = Orch.restore cfg ck in
       List.iter
-        (fun (id, wt) -> if id >= 0 && id < nw then ws.(id).pw_weight <- wt)
+        (fun (id, wt) -> if id >= 0 && id < nw then weights.(id) <- wt)
         ck.Orch.ck_weights;
       t
     | None -> Orch.create ~n_probes cfg
@@ -439,90 +277,6 @@ let run ?telemetry ?cache_dir ?incremental_link ?incremental_sched ?journal
   in
   let interval_gauge =
     Telemetry.Metrics.counter r.Recorder.metrics "farm.sync_interval_current"
-  in
-  (* ---- one round: dispatch, supervise, collect -------------------- *)
-  let collect_round ~round shares =
-    (* shares : (pworker * Wire.assign) list; queue + send *)
-    let results = ref [] in
-    List.iter
-      (fun (w, a) ->
-        w.pw_queue <- w.pw_queue @ [ a ];
-        try Wire.send w.pw_in (Wire.Assign a)
-        with Wire.Wire_error m -> on_death w ("assign failed: " ^ m))
-      shares;
-    let outstanding () =
-      Array.to_list ws
-      |> List.filter (fun w -> w.pw_retired = None && w.pw_queue <> [])
-    in
-    let exception Dead of string in
-    while outstanding () <> [] do
-      let now = Unix.gettimeofday () in
-      (* preemptive watchdog: a worker owing results that has not
-         heartbeat within the deadline is killed and restarted *)
-      List.iter
-        (fun w ->
-          if now -. w.pw_last_seen > worker_timeout then
-            on_death w "missed heartbeat deadline (preemptive kill)")
-        (outstanding ());
-      let waiting = outstanding () in
-      if waiting <> [] then begin
-        let fds = List.map (fun w -> w.pw_out.Wire.rd_fd) waiting in
-        let readable, _, _ =
-          try Unix.select fds [] [] 0.05
-          with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-        in
-        List.iter
-          (fun fd ->
-            match
-              List.find_opt (fun w -> w.pw_out.Wire.rd_fd == fd) waiting
-            with
-            | None -> ()
-            | Some w -> (
-              try
-                (match Wire.feed w.pw_out with
-                | `Eof ->
-                  if Wire.pending w.pw_out > 0 then
-                    raise (Dead "torn frame: worker died mid-send")
-                  else raise (Dead "worker closed pipe")
-                | `Read n -> if n > 0 then w.pw_last_seen <- Unix.gettimeofday ());
-                let rec drain () =
-                  match Wire.next w.pw_out with
-                  | None -> ()
-                  | Some (Wire.Heartbeat _) ->
-                    w.pw_last_seen <- Unix.gettimeofday ();
-                    (try Support.Fault.hit "farm.heartbeat"
-                     with
-                     | Support.Fault.Injected _ | Support.Fault.Transient_fault _
-                     | Support.Fault.Timed_out _
-                     ->
-                       raise (Dead "heartbeat fault (preemptive kill)"));
-                    drain ()
-                  | Some (Wire.Items im) ->
-                    w.pw_last_seen <- Unix.gettimeofday ();
-                    (match w.pw_queue with
-                    | [] -> raise (Dead "unsolicited Items frame")
-                    | a :: rest ->
-                      if a.Wire.as_round <> im.Wire.im_round then
-                        raise (Dead "Items for the wrong round");
-                      w.pw_queue <- rest;
-                      w.pw_skipped <- w.pw_skipped + im.Wire.im_skipped;
-                      w.pw_crashes <- w.pw_crashes + im.Wire.im_crashes;
-                      w.pw_recompiles <- w.pw_recompiles + im.Wire.im_recompiles;
-                      results := (w.pw_weight, im.Wire.im_items) :: !results);
-                    drain ()
-                  | Some (Wire.Died reason) ->
-                    raise (Dead ("worker fault: " ^ reason))
-                  | Some _ -> raise (Dead "protocol violation")
-                in
-                drain ()
-              with
-              | Dead reason -> on_death w reason
-              | Wire.Wire_error m -> on_death w m))
-          readable
-      end
-    done;
-    ignore round;
-    !results
   in
   (* ---- the barrier ------------------------------------------------ *)
   let barrier ~round ~next results =
@@ -574,51 +328,51 @@ let run ?telemetry ?cache_dir ?incremental_link ?incremental_sched ?journal
     (match checkpoint_path with
     | None -> ()
     | Some path ->
-      let live_sk = Array.fold_left (fun a w -> a + w.pw_skipped) 0 ws in
-      let live_cr = Array.fold_left (fun a w -> a + w.pw_crashes) 0 ws in
-      let live_rc = Array.fold_left (fun a w -> a + w.pw_recompiles) 0 ws in
       let ck =
         Orch.snapshot orch ~digest ~workers:nw ~round ~next
-          ~skipped:(orch.Orch.o_skipped + live_sk)
-          ~crashes:(orch.Orch.o_crashes + live_cr)
-          ~recompiles:(orch.Orch.o_recompiles + live_rc)
-          ~restarts:(orch.Orch.o_restarts + !total_restarts)
-          ~weights:
-            (Array.to_list ws |> List.map (fun w -> (w.pw_id, w.pw_weight)))
+          ~skipped:(orch.Orch.o_skipped + sum skipped)
+          ~crashes:(orch.Orch.o_crashes + sum crashes)
+          ~recompiles:(orch.Orch.o_recompiles + sum recompiles)
+          ~restarts:(orch.Orch.o_restarts + Supervise.restarts sup)
+          ~weights:(List.init nw (fun id -> (id, weights.(id))))
       in
       if Wire.write_checkpoint path ck then
         Recorder.count (Some r) "farm.checkpoints");
     jflush ()
   in
-  (* ---- round scheduler -------------------------------------------- *)
+  (* ---- one round: deal, supervise, merge -------------------------- *)
   let run_round ~round ~next idxs =
-    match alive () with
-    | [] -> ()
-    | live ->
-      let n = List.length live in
-      let shares = Array.make n [] in
-      List.iteri (fun k idx -> shares.(k mod n) <- idx :: shares.(k mod n)) idxs;
-      let corpus = Orch.corpus_entries orch in
-      let pruned = Orch.pruned_list orch in
-      let fn_cycles =
-        if cfg.Orch.fc_promote_share > 0. then Orch.fn_profile orch else []
-      in
-      let jobs =
-        List.mapi
-          (fun k w ->
-            ( w,
-              {
-                Wire.as_round = round;
-                as_slots = List.rev shares.(k);
-                as_corpus = corpus;
-                as_pruned = pruned;
-                as_fn_cycles = fn_cycles;
-              } ))
-          live
-        |> List.filter (fun (_, a) -> a.Wire.as_slots <> [])
-      in
-      let results = collect_round ~round jobs in
-      barrier ~round ~next results
+    let live = Supervise.live sup in
+    let n = List.length live in
+    let shares = Array.make n [] in
+    List.iteri (fun k idx -> shares.(k mod n) <- idx :: shares.(k mod n)) idxs;
+    let corpus = Orch.corpus_entries orch in
+    let pruned = Orch.pruned_list orch in
+    let fn_cycles =
+      if cfg.Orch.fc_promote_share > 0. then Orch.fn_profile orch else []
+    in
+    let jobs =
+      List.mapi
+        (fun k id ->
+          ( id,
+            {
+              Wire.as_round = round;
+              as_slots = List.rev shares.(k);
+              as_corpus = corpus;
+              as_pruned = pruned;
+              as_fn_cycles = fn_cycles;
+            } ))
+        live
+      |> List.filter (fun (_, a) -> a.Wire.as_slots <> [])
+    in
+    let results = ref [] in
+    Supervise.round sup jobs ~on_result:(fun id im ->
+        skipped.(id) <- skipped.(id) + im.Wire.im_skipped;
+        crashes.(id) <- crashes.(id) + im.Wire.im_crashes;
+        recompiles.(id) <- recompiles.(id) + im.Wire.im_recompiles;
+        results := (weights.(id), im.Wire.im_items) :: !results);
+    (* a round that lost its last worker has no barrier *)
+    if Supervise.live sup <> [] then barrier ~round ~next !results
   in
   let n_seeds = List.length seeds in
   let budget = max 0 cfg.Orch.fc_execs in
@@ -629,51 +383,31 @@ let run ?telemetry ?cache_dir ?incremental_link ?incremental_sched ?journal
     next := ck.Orch.ck_next;
     round := ck.Orch.ck_round + 1
   | None -> ());
-  (try
-     if resume = None && n_seeds > 0 && alive () <> [] then
-       run_round ~round:0 ~next:0 (List.init n_seeds (fun i -> i));
-     while !next < budget && alive () <> [] do
-       let n = min orch.Orch.o_interval (budget - !next) in
-       let slots = List.init n (fun k -> n_seeds + !next + k) in
-       next := !next + n;
-       run_round ~round:!round ~next:!next slots;
-       incr round
-     done
-   with All_workers_retired -> ());
-  (* ---- join ------------------------------------------------------- *)
-  Array.iter
-    (fun w ->
-      if w.pw_retired = None then begin
-        (try Wire.send w.pw_in Wire.Shutdown
-         with Wire.Wire_error _ ->
-           (try Unix.kill w.pw_pid Sys.sigkill with Unix.Unix_error _ -> ()));
-        (try ignore (Unix.waitpid [] w.pw_pid) with Unix.Unix_error _ -> ());
-        (try Unix.close w.pw_in with Unix.Unix_error _ -> ());
-        (try Unix.close w.pw_out.Wire.rd_fd with Unix.Unix_error _ -> ())
-      end)
-    ws;
+  if resume = None && n_seeds > 0 && Supervise.live sup <> [] then
+    run_round ~round:0 ~next:0 (List.init n_seeds (fun i -> i));
+  while !next < budget && Supervise.live sup <> [] do
+    let n = min orch.Orch.o_interval (budget - !next) in
+    let slots = List.init n (fun k -> n_seeds + !next + k) in
+    next := !next + n;
+    run_round ~round:!round ~next:!next slots;
+    incr round
+  done;
   (* toggle counts: in a farm campaign the only instrumentation toggles
      are prune removals — one per pruned probe, applied identically in
      every worker (and by the domains driver's managers) *)
   let toggles pid = if Orch.pruned orch pid then 1 else 0 in
   let probe_cost = Orch.probe_costs orch ~toggles in
-  let skipped =
-    orch.Orch.o_skipped + Array.fold_left (fun a w -> a + w.pw_skipped) 0 ws
-  in
-  let crashes =
-    orch.Orch.o_crashes + Array.fold_left (fun a w -> a + w.pw_crashes) 0 ws
-  in
-  let recompiles =
-    orch.Orch.o_recompiles
-    + Array.fold_left (fun a w -> a + w.pw_recompiles) 0 ws
-  in
+  let crashes = orch.Orch.o_crashes + sum crashes in
   (match jr with
   | None -> ()
   | Some j ->
     Orch.record_probe_cost_events j probe_cost;
     Orch.record_done_event j orch ~workers:nw ~cross_hits:0 ~crashes;
     jflush ());
-  Orch.mk_stats orch ~workers:nw ~cross_hits:0 ~skipped ~crashes ~recompiles
-    ~dead:(List.sort compare !retired_log)
+  Orch.mk_stats orch ~workers:nw ~cross_hits:0
+    ~skipped:(orch.Orch.o_skipped + sum skipped)
+    ~crashes
+    ~recompiles:(orch.Orch.o_recompiles + sum recompiles)
+    ~dead:(List.sort compare (Supervise.retired sup))
     ~store:(Option.map Support.Objstore.stats sup_store)
     ~probe_cost

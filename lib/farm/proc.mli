@@ -7,10 +7,12 @@
     re-sent the same assignment, reproducing its results
     bit-identically. Coverage, corpus and cycles are invariant across
     worker counts, across [--farm-mode domains|procs], and across any
-    kill/restart schedule. A worker that dies more than [max_restarts]
-    times is retired and its outstanding work moves to the lowest-id
-    live worker; each restart multiplies the worker's prune-vote weight
-    by [fc_vote_decay].
+    kill/restart schedule. The worker lifecycle (watchdog, restart,
+    retirement after [max_restarts], shutdown) is {!Supervise}; this
+    driver owns the Init/Assign/Items frames, and each restart
+    multiplies the worker's prune-vote weight by [fc_vote_decay]. When
+    every worker has retired the campaign returns the barriers merged
+    so far, listing every worker in [fs_dead].
 
     At every sync barrier the supervisor publishes an {!Orch.ckpt}
     through {!Wire.write_checkpoint}; [run ~resume] continues a
@@ -19,8 +21,8 @@
 
 (** Body of the hidden [odinc fuzz-worker] subcommand (and of the
     test/bench re-exec shims): serve one worker's slot schedules over
-    stdin/stdout until [Shutdown]. Installs the [ODIN_FAULTS] plan from
-    the environment and never returns. *)
+    stdin/stdout until [Shutdown] ({!Supervise.serve}). Installs the
+    [ODIN_FAULTS] plan from the environment and never returns. *)
 val worker_main : unit -> unit
 
 (** Run a process farm over the base module: same contract and result

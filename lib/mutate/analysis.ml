@@ -9,11 +9,11 @@
       never exchange anything mid-round — so merging rows in mutant-id
       order yields a structurally identical matrix for any worker count
       and either farm mode;
-    - the [Procs] supervisor is the fuzzing farm's shape
-      ({!Proc.run}): stateless children, restart = re-send the same
-      assignments, retire after [mc_max_restarts], preemptive heartbeat
-      watchdog, orphaned assignments re-dealt to the lowest-id live
-      worker. *)
+    - one campaign loop ({!run}) deals rounds, merges rows, publishes
+      checkpoints and stops; the two modes are executors of it. The
+      [Procs] executor runs its stateless children under
+      {!Farm.Supervise}, the fuzzing farm's supervisor, and owns only
+      the [mutate.*] frames. *)
 
 module Recorder = Telemetry.Recorder
 module Journal = Telemetry.Journal
@@ -249,8 +249,9 @@ let assign_of_blob data =
   close_blob ~kind:"mutate.assign" c;
   (round, ids)
 
-(* worker -> supervisor: rows plus this batch's link accounting *)
-let rows_blob ~round ~incr ~full ~patched rows =
+(* worker -> supervisor: a batch, i.e. rows plus the link accounting
+   [(incr, full, patched)] of the refreshes that produced them *)
+let rows_blob ~round (rows, (incr, full, patched)) =
   blob "mutate.rows" (fun b ->
       Codec.w_i64 b round;
       Codec.w_i64 b incr;
@@ -266,7 +267,7 @@ let rows_of_blob data =
   let patched = Codec.r_i64 c in
   let rows = Codec.r_list c r_row in
   close_blob ~kind:"mutate.rows" c;
-  (round, incr, full, patched, rows)
+  (round, (rows, (incr, full, patched)))
 
 let ckpt_version = 1
 
@@ -563,18 +564,23 @@ let deal ~chunk pending live =
   (jobs, rest)
 
 (* ------------------------------------------------------------------ *)
-(* Domains mode                                                        *)
+(* Executors                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let run_domains ~r ~jr ~host ~entry ~suite cfg base ~done_rows ~resumed =
-  let nw = max 1 cfg.mc_workers in
+(* An executor builds the workers and drives [campaign] (the loop in
+   {!run}) with [live], the worker ids to deal over, and [exec], which
+   runs one round's [(id, mutant ids)] jobs. Every batch of rows and
+   link counts goes to [accept]. Returns the restarts and the retired
+   workers. *)
+
+let run_domains ~r ~host ~entry ~suite cfg base ~campaign ~accept =
   let pool = Support.Pool.default () in
   let shared = Odin.Session.object_cache ~size:1024 () in
   let jclock = Telemetry.Clock.synchronized r.Recorder.clock in
   (* serial creation in id order: worker 0's build fills the shared
      cache, later builds are cross hits *)
   let workers =
-    List.init nw (fun i ->
+    Array.init (max 1 cfg.mc_workers) (fun i ->
         let wr = Recorder.fork ~clock:jclock r in
         let st =
           mk_wstate ~objects:shared ~owner:i ~pool ~telemetry:wr
@@ -584,491 +590,119 @@ let run_domains ~r ~jr ~host ~entry ~suite cfg base ~done_rows ~resumed =
         in
         (st, wr))
   in
-  let n_mutants =
-    match workers with
-    | (st, _) :: _ -> Array.length st.ws_mutants
-    | [] -> 0
-  in
-  let rows = Hashtbl.create 997 in
-  List.iter (fun row -> Hashtbl.replace rows row.r_id row) done_rows;
-  let incr_links = ref 0 and full_links = ref 0 and patched = ref 0 in
-  let pending =
-    List.init n_mutants Fun.id
-    |> List.filter (fun id -> not (Hashtbl.mem rows id))
-  in
-  let publish () =
-    match cfg.mc_checkpoint with
-    | None -> ()
-    | Some path ->
-      let all =
-        Hashtbl.fold (fun _ row acc -> row :: acc) rows []
-        |> List.sort (fun a b -> compare a.r_id b.r_id)
-      in
-      publish_ckpt path
-        {
-          ck_digest = Farm.Orch.module_digest base;
-          ck_spec = families_spec cfg.mc_families;
-          ck_limit = cfg.mc_limit;
-          ck_tests = List.length suite;
-          ck_suite_digest = suite_digest suite;
-          ck_rows = all;
-        }
-  in
-  let stopped () =
-    match cfg.mc_stop_after with
-    | None -> false
-    | Some n -> Hashtbl.length rows >= n
-  in
-  let rec rounds round pending =
-    if pending = [] || stopped () then ()
-    else begin
-      let jobs, rest = deal ~chunk:cfg.mc_chunk pending workers in
-      let results =
-        Support.Pool.map pool
-          (fun ((st, wr), ids) ->
-            Recorder.with_span wr ~cat:"mutate"
-              ~args:[ ("round", string_of_int round) ]
-              "worker-round"
-              (fun () -> List.map (eval_mutant st) ids))
-          jobs
-      in
-      let fresh = List.concat results in
-      List.iter (fun row -> Hashtbl.replace rows row.r_id row) fresh;
-      List.iter
-        (fun ((st, _), _) ->
-          let i, f, p = drain_links st in
-          incr_links := !incr_links + i;
-          full_links := !full_links + f;
-          patched := !patched + p)
-        jobs;
-      record_counters (Some r) fresh;
-      record_rows_events jr fresh;
-      Recorder.count (Some r) "mutate.rounds";
-      publish ();
-      rounds (round + 1) rest
-    end
-  in
-  rounds 1 pending;
+  let ids = List.init (Array.length workers) Fun.id in
+  campaign
+    ~n_mutants:(Array.length (fst workers.(0)).ws_mutants)
+    ~live:(fun () -> ids)
+    ~exec:(fun round jobs ->
+      Support.Pool.map pool
+        (fun (i, mids) ->
+          let st, wr = workers.(i) in
+          Recorder.with_span wr ~cat:"mutate"
+            ~args:[ ("round", string_of_int round) ]
+            "worker-round"
+            (fun () ->
+              let rows = List.map (eval_mutant st) mids in
+              (rows, drain_links st)))
+        jobs
+      |> List.iter accept);
   (* leave every session bit-pristine (and count the closing relinks) *)
-  List.iter
-    (fun (st, _) ->
-      quiesce st;
-      let i, f, p = drain_links st in
-      incr_links := !incr_links + i;
-      full_links := !full_links + f;
-      patched := !patched + p)
-    workers;
-  List.iter (fun (_, wr) -> Recorder.merge ~into:r wr) workers;
-  let all =
-    Hashtbl.fold (fun _ row acc -> row :: acc) rows []
-    |> List.sort (fun a b -> compare a.r_id b.r_id)
-  in
-  let matrix = merge_rows ~tests:(List.length suite) all in
-  let stats =
-    {
-      s_initial_links = nw;
-      s_full_links = nw + !full_links;
-      s_incr_links = !incr_links;
-      s_symbols_patched = !patched;
-      s_restarts = 0;
-      s_retired = [];
-      s_resumed_rows = (if resumed then List.length done_rows else 0);
-    }
-  in
-  (matrix, stats)
-
-(* ------------------------------------------------------------------ *)
-(* Procs mode: supervisor                                              *)
-(* ------------------------------------------------------------------ *)
-
-type pworker = {
-  pw_id : int;
-  mutable pw_pid : int;
-  mutable pw_in : Unix.file_descr;
-  mutable pw_out : Farm.Wire.reader;
-  mutable pw_restarts : int;
-  mutable pw_retired : string option;
-  mutable pw_last_seen : float;
-  mutable pw_queue : (int * int list) list;  (** outstanding (round, ids) *)
-}
-
-exception All_workers_retired
-
-let run_procs ~r ~jr ~host ~entry ~suite cfg base ~done_rows ~resumed =
-  let nw = max 1 cfg.mc_workers in
-  let argv =
-    match cfg.mc_worker_argv with
-    | Some a -> a
-    | None -> [| Sys.executable_name; "mutate-worker" |]
-  in
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  let env = Unix.environment () in
-  let init_for id =
-    init_blob
-      {
-        wi_id = id;
-        wi_entry = entry;
-        wi_host = host;
-        wi_suite = suite;
-        wi_spec = families_spec cfg.mc_families;
-        wi_limit = cfg.mc_limit;
-        wi_max_steps = cfg.mc_max_steps;
-        wi_deadline = cfg.mc_deadline;
-        wi_mod_name = base.Ir.Modul.mname;
-        wi_mod_text = Ir.Print.module_to_string base;
-      }
-  in
-  let total_restarts = ref 0 in
-  let retired_log = ref [] in
-  let reap w =
-    (try Unix.kill w.pw_pid Sys.sigkill with Unix.Unix_error _ -> ());
-    (try ignore (Unix.waitpid [] w.pw_pid) with Unix.Unix_error _ -> ());
-    (try Unix.close w.pw_in with Unix.Unix_error _ -> ());
-    (try Unix.close w.pw_out.Farm.Wire.rd_fd with Unix.Unix_error _ -> ());
-    Recorder.count (Some r) "mutate.worker_deaths"
-  in
-  let start w =
-    let out_r, out_w = Unix.pipe ~cloexec:true () in
-    let in_r, in_w = Unix.pipe ~cloexec:true () in
-    let pid = Unix.create_process_env argv.(0) argv env in_r out_w Unix.stderr in
-    Unix.close in_r;
-    Unix.close out_w;
-    w.pw_pid <- pid;
-    w.pw_in <- in_w;
-    w.pw_out <- Farm.Wire.reader out_r;
-    w.pw_last_seen <- Unix.gettimeofday ();
-    match
-      Farm.Wire.send w.pw_in (init_for w.pw_id);
-      let deadline = Unix.gettimeofday () +. max cfg.mc_worker_timeout 5. in
-      let rec await () =
-        match Farm.Wire.next w.pw_out with
-        | Some (Farm.Wire.Blob { bl_kind = "mutate.ready"; bl_data }) ->
-          let _, n = ready_of_blob bl_data in
-          Ok n
-        | Some (Farm.Wire.Died reason) -> Error reason
-        | Some _ -> Error "protocol violation in handshake"
-        | None ->
-          if Unix.gettimeofday () > deadline then Error "handshake timeout"
-          else (
-            match Unix.select [ w.pw_out.Farm.Wire.rd_fd ] [] [] 0.1 with
-            | [], _, _ -> await ()
-            | _ -> (
-              match Farm.Wire.feed w.pw_out with
-              | `Eof -> Error "worker exited during handshake"
-              | `Read _ -> await ()))
-      in
-      await ()
-    with
-    | result -> result
-    | exception Farm.Wire.Wire_error m -> Error m
-  in
-  let ws =
-    Array.init nw (fun id ->
-        {
-          pw_id = id;
-          pw_pid = -1;
-          pw_in = Unix.stdin;
-          pw_out = Farm.Wire.reader Unix.stdin;
-          pw_restarts = 0;
-          pw_retired = None;
-          pw_last_seen = 0.;
-          pw_queue = [];
-        })
-  in
-  let alive () =
-    Array.to_list ws |> List.filter (fun w -> w.pw_retired = None)
-  in
-  let send_assign w (round, ids) =
-    Farm.Wire.send w.pw_in (assign_blob ~round ids)
-  in
-  let rec on_death w reason =
-    if w.pw_retired = None then begin
-      reap w;
-      if w.pw_restarts < cfg.mc_max_restarts then begin
-        w.pw_restarts <- w.pw_restarts + 1;
-        incr total_restarts;
-        Recorder.count (Some r) "mutate.worker_restarts";
-        match start w with
-        | Ok _ -> (
-          try List.iter (send_assign w) w.pw_queue
-          with Farm.Wire.Wire_error m -> on_death w ("resend failed: " ^ m))
-        | Error m -> on_death w ("restart failed: " ^ m)
-      end
-      else begin
-        w.pw_retired <- Some reason;
-        retired_log := (w.pw_id, reason) :: !retired_log;
-        let orphans = w.pw_queue in
-        w.pw_queue <- [];
-        match alive () with
-        | [] -> raise All_workers_retired
-        | h :: _ ->
-          if orphans <> [] then begin
-            h.pw_queue <- h.pw_queue @ orphans;
-            try List.iter (send_assign h) orphans
-            with Farm.Wire.Wire_error m ->
-              on_death h ("orphan reassign failed: " ^ m)
-          end
-      end
-    end
-  in
-  (* initial fleet *)
-  let n_mutants = ref (-1) in
   Array.iter
-    (fun w ->
-      let rec boot attempts =
-        match start w with
-        | Ok n ->
-          if !n_mutants < 0 then n_mutants := n
-          else if n <> !n_mutants then begin
-            reap w;
-            w.pw_retired <- Some "mutant-count mismatch";
-            retired_log := (w.pw_id, "mutant-count mismatch") :: !retired_log
-          end
-        | Error m ->
-          reap w;
-          if attempts < cfg.mc_max_restarts then begin
-            w.pw_restarts <- w.pw_restarts + 1;
-            incr total_restarts;
-            boot (attempts + 1)
-          end
-          else begin
-            w.pw_retired <- Some m;
-            retired_log := (w.pw_id, m) :: !retired_log
-          end
-      in
-      boot 0)
-    ws;
-  if alive () = [] then raise All_workers_retired;
-  let n_mutants = max 0 !n_mutants in
-  let rows = Hashtbl.create 997 in
-  List.iter (fun row -> Hashtbl.replace rows row.r_id row) done_rows;
-  let incr_links = ref 0 and full_links = ref 0 and patched = ref 0 in
-  let collect_round shares =
-    List.iter
-      (fun (w, a) ->
-        w.pw_queue <- w.pw_queue @ [ a ];
-        try send_assign w a
-        with Farm.Wire.Wire_error m -> on_death w ("assign failed: " ^ m))
-      shares;
-    let outstanding () =
-      Array.to_list ws
-      |> List.filter (fun w -> w.pw_retired = None && w.pw_queue <> [])
-    in
-    let exception Dead of string in
-    while outstanding () <> [] do
-      let now = Unix.gettimeofday () in
-      List.iter
-        (fun w ->
-          if now -. w.pw_last_seen > cfg.mc_worker_timeout then
-            on_death w "missed heartbeat deadline (preemptive kill)")
-        (outstanding ());
-      let waiting = outstanding () in
-      if waiting <> [] then begin
-        let fds = List.map (fun w -> w.pw_out.Farm.Wire.rd_fd) waiting in
-        let readable, _, _ =
-          try Unix.select fds [] [] 0.05
-          with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-        in
-        List.iter
-          (fun fd ->
-            match
-              List.find_opt
-                (fun w -> w.pw_out.Farm.Wire.rd_fd == fd)
-                waiting
-            with
-            | None -> ()
-            | Some w -> (
-              try
-                (match Farm.Wire.feed w.pw_out with
-                | `Eof ->
-                  if Farm.Wire.pending w.pw_out > 0 then
-                    raise (Dead "torn frame: worker died mid-send")
-                  else raise (Dead "worker closed pipe")
-                | `Read n ->
-                  if n > 0 then w.pw_last_seen <- Unix.gettimeofday ());
-                let rec drain () =
-                  match Farm.Wire.next w.pw_out with
-                  | None -> ()
-                  | Some (Farm.Wire.Heartbeat _) ->
-                    w.pw_last_seen <- Unix.gettimeofday ();
-                    drain ()
-                  | Some (Farm.Wire.Blob { bl_kind = "mutate.rows"; bl_data })
-                    ->
-                    w.pw_last_seen <- Unix.gettimeofday ();
-                    let round, incr, full, pat, batch =
-                      rows_of_blob bl_data
-                    in
-                    (match w.pw_queue with
-                    | [] -> raise (Dead "unsolicited rows frame")
-                    | (qround, _) :: rest ->
-                      if qround <> round then
-                        raise (Dead "rows for the wrong round");
-                      w.pw_queue <- rest;
-                      incr_links := !incr_links + incr;
-                      full_links := !full_links + full;
-                      patched := !patched + pat;
-                      List.iter
-                        (fun row -> Hashtbl.replace rows row.r_id row)
-                        batch;
-                      record_counters (Some r) batch;
-                      record_rows_events jr batch);
-                    drain ()
-                  | Some (Farm.Wire.Died reason) ->
-                    raise (Dead ("worker fault: " ^ reason))
-                  | Some _ -> raise (Dead "protocol violation")
-                in
-                drain ()
-              with
-              | Dead reason -> on_death w reason
-              | Farm.Wire.Wire_error m -> on_death w m))
-          readable
-      end
-    done
-  in
-  let publish () =
-    match cfg.mc_checkpoint with
-    | None -> ()
-    | Some path ->
-      let all =
-        Hashtbl.fold (fun _ row acc -> row :: acc) rows []
-        |> List.sort (fun a b -> compare a.r_id b.r_id)
-      in
-      publish_ckpt path
-        {
-          ck_digest = Farm.Orch.module_digest base;
-          ck_spec = families_spec cfg.mc_families;
-          ck_limit = cfg.mc_limit;
-          ck_tests = List.length suite;
-          ck_suite_digest = suite_digest suite;
-          ck_rows = all;
-        }
-  in
-  let stopped () =
-    match cfg.mc_stop_after with
-    | None -> false
-    | Some n -> Hashtbl.length rows >= n
-  in
-  let pending =
-    List.init n_mutants Fun.id
-    |> List.filter (fun id -> not (Hashtbl.mem rows id))
-  in
-  let rec rounds round pending =
-    if pending = [] || stopped () then ()
-    else begin
-      let jobs, rest = deal ~chunk:cfg.mc_chunk pending (alive ()) in
-      collect_round (List.map (fun (w, ids) -> (w, (round, ids))) jobs);
-      Recorder.count (Some r) "mutate.rounds";
-      publish ();
-      rounds (round + 1) rest
-    end
-  in
-  Fun.protect ~finally:(fun () ->
-      Array.iter
-        (fun w ->
-          if w.pw_retired = None then begin
-            (try Farm.Wire.send w.pw_in Farm.Wire.Shutdown
-             with Farm.Wire.Wire_error _ -> ());
-            (try ignore (Unix.waitpid [] w.pw_pid)
-             with Unix.Unix_error _ -> ());
-            (try Unix.close w.pw_in with Unix.Unix_error _ -> ());
-            try Unix.close w.pw_out.Farm.Wire.rd_fd
-            with Unix.Unix_error _ -> ()
-          end)
-        ws)
-  @@ fun () ->
-  rounds 1 pending;
-  let all =
-    Hashtbl.fold (fun _ row acc -> row :: acc) rows []
-    |> List.sort (fun a b -> compare a.r_id b.r_id)
-  in
-  let matrix = merge_rows ~tests:(List.length suite) all in
-  (* children quiesce on Shutdown; each (re)boot was a full compile *)
-  let stats =
+    (fun (st, wr) ->
+      quiesce st;
+      accept ([], drain_links st);
+      Recorder.merge ~into:r wr)
+    workers;
+  (0, [])
+
+let run_procs ~r ~host ~entry ~suite cfg base ~campaign ~accept =
+  let mod_text = Ir.Print.module_to_string base in
+  let proto =
     {
-      s_initial_links = nw + !total_restarts;
-      s_full_links = nw + !total_restarts + !full_links;
-      s_incr_links = !incr_links;
-      s_symbols_patched = !patched;
-      s_restarts = !total_restarts;
-      s_retired = List.rev !retired_log;
-      s_resumed_rows = (if resumed then List.length done_rows else 0);
+      Farm.Supervise.init =
+        (fun id ->
+          init_blob
+            {
+              wi_id = id;
+              wi_entry = entry;
+              wi_host = host;
+              wi_suite = suite;
+              wi_spec = families_spec cfg.mc_families;
+              wi_limit = cfg.mc_limit;
+              wi_max_steps = cfg.mc_max_steps;
+              wi_deadline = cfg.mc_deadline;
+              wi_mod_name = base.Ir.Modul.mname;
+              wi_mod_text = mod_text;
+            });
+      ready =
+        (function
+        | Farm.Wire.Blob { bl_kind = "mutate.ready"; bl_data } ->
+          Some (snd (ready_of_blob bl_data))
+        | _ -> None);
+      assign = (fun (round, ids) -> assign_blob ~round ids);
+      round_of = fst;
+      result =
+        (function
+        | Farm.Wire.Blob { bl_kind = "mutate.rows"; bl_data } ->
+          Some (rows_of_blob bl_data)
+        | _ -> None);
     }
   in
-  (matrix, stats)
+  let argv =
+    Option.value cfg.mc_worker_argv
+      ~default:[| Sys.executable_name; "mutate-worker" |]
+  in
+  let sup, n_mutants =
+    Farm.Supervise.start ~telemetry:r ~prefix:"mutate" ~argv
+      ~timeout:cfg.mc_worker_timeout ~max_restarts:cfg.mc_max_restarts
+      ~workers:cfg.mc_workers proto
+  in
+  Fun.protect ~finally:(fun () -> Farm.Supervise.shutdown sup) (fun () ->
+      campaign ~n_mutants
+        ~live:(fun () -> Farm.Supervise.live sup)
+        ~exec:(fun round jobs ->
+          Farm.Supervise.round sup
+            (List.map (fun (id, ids) -> (id, (round, ids))) jobs)
+            ~on_result:(fun _ batch -> accept batch)));
+  (Farm.Supervise.restarts sup, Farm.Supervise.retired sup)
 
 (* ------------------------------------------------------------------ *)
 (* Procs mode: child                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let worker_main () =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  ignore (Support.Fault.init_from_env ());
-  let rd = Farm.Wire.reader Unix.stdin in
-  let send m = Farm.Wire.send Unix.stdout m in
-  let die reason code =
-    (try send (Farm.Wire.Died reason) with _ -> ());
-    exit code
-  in
-  let init =
-    match Farm.Wire.recv rd with
-    | Farm.Wire.Blob { bl_kind = "mutate.init"; bl_data } ->
-      init_of_blob bl_data
-    | _ -> die "protocol violation: expected mutate.init" 64
-    | exception Farm.Wire.Wire_error _ -> exit 65
-  in
-  let m =
-    Ir.Parse.module_of_string ~name:init.wi_mod_name init.wi_mod_text
-  in
-  let st =
-    try
-      mk_wstate ~pool:Support.Pool.serial
-        ~families:(Gen.families_of_spec init.wi_spec)
-        ~limit:init.wi_limit ~entry:init.wi_entry ~host:init.wi_host
-        ~suite:init.wi_suite ~max_steps:init.wi_max_steps
-        ~deadline:init.wi_deadline m
-    with Failure msg -> die msg 3
-  in
-  (try
-     send (ready_blob ~id:init.wi_id ~n_mutants:(Array.length st.ws_mutants))
-   with Farm.Wire.Wire_error _ -> exit 70);
-  let rec serve () =
-    (match Farm.Wire.recv rd with
-    | Farm.Wire.Shutdown ->
-      quiesce st;
-      exit 0
-    | Farm.Wire.Blob { bl_kind = "mutate.assign"; bl_data } -> (
-      let round, ids = assign_of_blob bl_data in
-      try
-        send (Farm.Wire.Heartbeat { hb_round = round; hb_done = 0 });
-        let done_count = ref 0 in
-        let batch =
-          List.map
-            (fun id ->
+  Farm.Supervise.serve ~quit:quiesce
+    ~init:(function
+      | Farm.Wire.Blob { bl_kind = "mutate.init"; bl_data } ->
+        let i = init_of_blob bl_data in
+        let st =
+          mk_wstate ~pool:Support.Pool.serial
+            ~families:(Gen.families_of_spec i.wi_spec)
+            ~limit:i.wi_limit ~entry:i.wi_entry ~host:i.wi_host
+            ~suite:i.wi_suite ~max_steps:i.wi_max_steps
+            ~deadline:i.wi_deadline
+            (Ir.Parse.module_of_string ~name:i.wi_mod_name i.wi_mod_text)
+        in
+        (st, ready_blob ~id:i.wi_id ~n_mutants:(Array.length st.ws_mutants))
+      | _ -> failwith "protocol violation: expected mutate.init")
+    ~work:(fun st ~send -> function
+      | Farm.Wire.Blob { bl_kind = "mutate.assign"; bl_data } ->
+        let round, ids = assign_of_blob bl_data in
+        let beat n = send (Farm.Wire.Heartbeat { hb_round = round; hb_done = n }) in
+        beat 0;
+        let rows =
+          List.mapi
+            (fun k id ->
               let row = eval_mutant st id in
-              incr done_count;
-              send
-                (Farm.Wire.Heartbeat { hb_round = round; hb_done = !done_count });
+              beat (k + 1);
               row)
             ids
         in
-        let incr, full, patched = drain_links st in
-        send (rows_blob ~round ~incr ~full ~patched batch)
-      with
-      | Farm.Wire.Wire_error _ ->
-        (* torn send: this process can no longer speak the protocol *)
-        exit 70
-      | Support.Fault.Injected site ->
-        die (Printf.sprintf "injected fault at %s" site) 2
-      | e -> die (Printexc.to_string e) 2)
-    | _ -> die "protocol violation: expected mutate.assign or Shutdown" 64
-    | exception Farm.Wire.Wire_error _ -> exit 65);
-    serve ()
-  in
-  serve ()
+        send (rows_blob ~round (rows, drain_links st))
+      | _ -> failwith "protocol violation: expected mutate.assign or Shutdown")
 
 (* ------------------------------------------------------------------ *)
-(* Entry point                                                         *)
+(* Entry point: the campaign loop                                      *)
 (* ------------------------------------------------------------------ *)
 
 let run ?telemetry ?journal ?journal_path
@@ -1099,11 +733,12 @@ let run ?telemetry ?journal ?journal_path
       | None -> ([], false))
     | _ -> ([], false)
   in
+  let nw = max 1 cfg.mc_workers in
   let sp =
     Telemetry.Span.enter r.Recorder.spans ~cat:"mutate"
       ~args:
         [
-          ("workers", string_of_int (max 1 cfg.mc_workers));
+          ("workers", string_of_int nw);
           ("mode", match cfg.mc_mode with Domains -> "domains" | Procs -> "procs");
           ("ops", families_spec cfg.mc_families);
           ("tests", string_of_int (List.length suite));
@@ -1114,10 +749,75 @@ let run ?telemetry ?journal ?journal_path
       Telemetry.Span.exit r.Recorder.spans sp;
       jflush ())
   @@ fun () ->
-  let matrix, stats =
+  let rows = Hashtbl.create 997 in
+  List.iter (fun row -> Hashtbl.replace rows row.r_id row) done_rows;
+  let incr_links = ref 0 and full_links = ref 0 and patched = ref 0 in
+  let accept (batch, (i, f, p)) =
+    incr_links := !incr_links + i;
+    full_links := !full_links + f;
+    patched := !patched + p;
+    List.iter (fun row -> Hashtbl.replace rows row.r_id row) batch;
+    record_counters (Some r) batch;
+    record_rows_events jr batch
+  in
+  let sorted_rows () =
+    Hashtbl.fold (fun _ row acc -> row :: acc) rows []
+    |> List.sort (fun a b -> compare a.r_id b.r_id)
+  in
+  let publish () =
+    match cfg.mc_checkpoint with
+    | None -> ()
+    | Some path ->
+      publish_ckpt path
+        {
+          ck_digest = Farm.Orch.module_digest base;
+          ck_spec = families_spec cfg.mc_families;
+          ck_limit = cfg.mc_limit;
+          ck_tests = List.length suite;
+          ck_suite_digest = suite_digest suite;
+          ck_rows = sorted_rows ();
+        }
+  in
+  let stopped () =
+    match cfg.mc_stop_after with
+    | None -> false
+    | Some n -> Hashtbl.length rows >= n
+  in
+  (* one round at a time, until every mutant has a row, the stop hook
+     fires, or no worker is left *)
+  let campaign ~n_mutants ~live ~exec =
+    let rec rounds round pending =
+      match live () with
+      | ids when ids <> [] && pending <> [] && not (stopped ()) ->
+        let jobs, rest = deal ~chunk:cfg.mc_chunk pending ids in
+        exec round jobs;
+        Recorder.count (Some r) "mutate.rounds";
+        publish ();
+        rounds (round + 1) rest
+      | _ -> ()
+    in
+    List.init n_mutants Fun.id
+    |> List.filter (fun id -> not (Hashtbl.mem rows id))
+    |> rounds 1
+  in
+  let restarts, retired =
     match cfg.mc_mode with
-    | Domains -> run_domains ~r ~jr ~host ~entry ~suite cfg base ~done_rows ~resumed
-    | Procs -> run_procs ~r ~jr ~host ~entry ~suite cfg base ~done_rows ~resumed
+    | Domains -> run_domains ~r ~host ~entry ~suite cfg base ~campaign ~accept
+    | Procs -> run_procs ~r ~host ~entry ~suite cfg base ~campaign ~accept
+  in
+  let matrix = merge_rows ~tests:(List.length suite) (sorted_rows ()) in
+  (* every (re)boot was a full compile; [Procs] children quiesce on
+     Shutdown, unaccounted *)
+  let stats =
+    {
+      s_initial_links = nw + restarts;
+      s_full_links = nw + restarts + !full_links;
+      s_incr_links = !incr_links;
+      s_symbols_patched = !patched;
+      s_restarts = restarts;
+      s_retired = retired;
+      s_resumed_rows = (if resumed then List.length done_rows else 0);
+    }
   in
   (match jr with
   | None -> ()

@@ -9,11 +9,12 @@
     compiles.
 
     Two distribution modes, same contract as the fuzzing farm
-    ({!Farm.run} / {!Proc.run}): [Domains] shares one process and one
-    content-addressed object cache; [Procs] supervises stateless child
-    processes with restart/retire and preemptive watchdog. Per-mutant
-    verdicts are pure functions of (mutant, suite), so the merged
-    matrix is bit-identical for any worker count and either mode. *)
+    ({!Farm.run} / {!Farm.Proc.run}): [Domains] shares one process and
+    one content-addressed object cache; [Procs] runs stateless child
+    processes under the farm's supervisor ({!Farm.Supervise}: restart,
+    retire, preemptive watchdog). Per-mutant verdicts are pure
+    functions of (mutant, suite), so the merged matrix is bit-identical
+    for any worker count and either mode. *)
 
 (** Per-(mutant, test) outcome: one kill-matrix cell. *)
 type outcome =
@@ -94,6 +95,9 @@ val default_config : config
 (** Run a campaign over [base]. The suite is a list of inputs for
     [entry]; a pristine baseline run of the whole suite anchors the
     kill comparison.
+    When every [Procs] worker has retired, the campaign ends without
+    raising: the matrix holds the rows finished so far and [s_retired]
+    lists every worker.
     @raise Failure when the pristine baseline itself traps or hangs
     @raise Invalid_argument when a resume checkpoint targets a
       different module, operator set or suite *)
@@ -114,6 +118,7 @@ val run :
 val render : matrix -> string
 
 (** Child-process entry point for [Procs] campaigns (the [mutate-worker]
-    re-exec marker): speaks the [mutate.*] {!Wire.Blob} sub-protocol on
-    stdin/stdout and never returns. *)
+    re-exec marker): speaks the [mutate.*] {!Farm.Wire.Blob}
+    sub-protocol on stdin/stdout ({!Farm.Supervise.serve}) and never
+    returns. *)
 val worker_main : unit -> 'a

@@ -65,6 +65,13 @@ let mk_cfg ?(workers = 1) ?(mode = Analysis.Domains) ?families ?limit
 let run ?telemetry ?journal ?(entry = "tmain") cfg ~suite m =
   Analysis.run ?telemetry ?journal ~entry ~suite cfg m
 
+(* set an environment variable around [f], restoring the old value
+   ("" when it was unset) *)
+let with_env var value f =
+  let old = Sys.getenv_opt var in
+  Unix.putenv var value;
+  Fun.protect ~finally:(fun () -> Unix.putenv var (Option.value ~default:"" old)) f
+
 (* ---------------- units: operator selection ---------------- *)
 
 let test_families_of_spec () =
@@ -83,7 +90,12 @@ let rows_of fam (m : Analysis.matrix) =
   List.filter (fun r -> r.Analysis.r_family = fam) m.Analysis.m_rows
 
 let test_operators_plant_and_kill () =
-  let matrix, stats = run (mk_cfg ()) ~suite:unit_suite (compile unit_src) in
+  (* the campaign creates its sessions itself, so the incremental
+     linker this test is about is pinned through the environment *)
+  let matrix, stats =
+    with_env "ODIN_INCR_LINK" "1" (fun () ->
+        run (mk_cfg ()) ~suite:unit_suite (compile unit_src))
+  in
   Alcotest.(check bool) "mutants generated" true (matrix.Analysis.m_generated > 0);
   Alcotest.(check int) "suite size" 3 matrix.Analysis.m_tests;
   List.iter
@@ -210,7 +222,7 @@ let test_toggle_many_one_pass () =
   let session =
     Odin.Session.create ~mode:Odin.Partition.Max
       ~keep:[ Fuzzer.Campaign.entry ] ~host:Workloads.Generate.host_functions
-      ~pool:Pool.serial m
+      ~pool:Pool.serial ~incremental_link:true ~incremental_sched:true m
   in
   let mutants = Gen.setup session in
   ignore (Odin.Session.build session);
@@ -279,6 +291,61 @@ let test_determinism_across_substrates () =
   let pm, pstats = run_tiny ~workers:2 ~mode:Analysis.Procs () in
   check_matrix "domains = procs" dm pm;
   Alcotest.(check int) "no restarts in a clean run" 0 pstats.Analysis.s_restarts
+
+(* ---------------- supervision: kill matrix (procs) ---------------- *)
+
+let unit_procs ?(max_restarts = 3) () =
+  run
+    {
+      (mk_cfg ~workers:2 ~mode:Analysis.Procs ~chunk:2 ()) with
+      Analysis.mc_max_restarts = max_restarts;
+    }
+    ~suite:unit_suite (compile unit_src)
+
+let unit_domains () =
+  fst (run (mk_cfg ~workers:2 ~chunk:2 ()) ~suite:unit_suite (compile unit_src))
+
+(* a worker killed at its 15th send, at a frame boundary or mid-frame,
+   is restarted and re-sent its assignments: each of the two dies once,
+   and the matrix equals the domains run. The plan reaches the workers
+   through ODIN_FAULTS. *)
+let test_worker_kills () =
+  let baseline = unit_domains () in
+  List.iter
+    (fun plan ->
+      let matrix, stats = with_env "ODIN_FAULTS" plan unit_procs in
+      check_matrix (plan ^ ": matrix") baseline matrix;
+      Alcotest.(check int) (plan ^ ": restarts") 2 stats.Analysis.s_restarts;
+      Alcotest.(check (list (pair int string)))
+        (plan ^ ": none retired") [] stats.Analysis.s_retired)
+    [ "wire.send:kill:nth=15"; "wire.send:torn:nth=15" ]
+
+(* supervisor side: a heartbeat fault is a missed deadline, so the
+   watchdog kills one worker *)
+let test_preemptive_kill () =
+  let baseline = unit_domains () in
+  let matrix, stats =
+    Support.Fault.with_plan
+      (Support.Fault.plan
+         [
+           Support.Fault.rule ~trigger:(Support.Fault.Nth 2) "farm.heartbeat"
+             Support.Fault.Raise;
+         ])
+      unit_procs
+  in
+  check_matrix "preemptive kill: matrix" baseline matrix;
+  Alcotest.(check int) "exactly one restart" 1 stats.Analysis.s_restarts
+
+(* every incarnation dies at its first send: both workers retire during
+   the handshake and the campaign returns, without raising, what it
+   finished *)
+let test_all_workers_retired () =
+  let matrix, stats =
+    with_env "ODIN_FAULTS" "wire.send:kill:nth=1" (unit_procs ~max_restarts:1)
+  in
+  Alcotest.(check int) "no rows" 0 matrix.Analysis.m_generated;
+  Alcotest.(check (list int)) "both workers retired" [ 0; 1 ]
+    (List.sort compare (List.map fst stats.Analysis.s_retired))
 
 (* ---------------- checkpoint / resume ---------------- *)
 
@@ -397,6 +464,15 @@ let () =
             test_determinism_across_workers;
           Alcotest.test_case "domains vs procs" `Quick
             test_determinism_across_substrates;
+        ] );
+      ( "supervision",
+        [
+          Alcotest.test_case "worker SIGKILL + torn frame" `Quick
+            test_worker_kills;
+          Alcotest.test_case "preemptive watchdog kill" `Quick
+            test_preemptive_kill;
+          Alcotest.test_case "all workers retired returns rows" `Quick
+            test_all_workers_retired;
         ] );
       ( "checkpoint",
         [

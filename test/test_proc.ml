@@ -446,6 +446,22 @@ let test_resume_refuses_mismatch () =
   | _ -> Alcotest.fail "domains resume accepted a foreign seed"
   | exception Invalid_argument _ -> ()
 
+(* a resume rejected after the fleet booted must not leak it: every
+   worker is reaped and both pipes of each are closed *)
+let test_resume_rejection_reaps_fleet () =
+  with_tmp_dir "resume-leak" @@ fun dir ->
+  let _, ck = make_ckpt dir in
+  let ck = { ck with Orch.ck_n_probes = ck.Orch.ck_n_probes + 1 } in
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = open_fds () in
+  (match run_proc ~resume:ck (mk_cfg ~execs:40 ()) with
+  | _ -> Alcotest.fail "resume accepted a foreign probe count"
+  | exception Invalid_argument _ -> ());
+  (match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | _ -> Alcotest.fail "a worker process outlived the run"
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ());
+  Alcotest.(check int) "worker pipes closed" before (open_fds ())
+
 (* ----------------------------------------------------------------------- *)
 
 let () =
@@ -490,5 +506,7 @@ let () =
             test_resume_after_torn_checkpoint;
           Alcotest.test_case "refuses seed mismatch" `Quick
             test_resume_refuses_mismatch;
+          Alcotest.test_case "rejection reaps the fleet" `Quick
+            test_resume_rejection_reaps_fleet;
         ] );
     ]
