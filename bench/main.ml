@@ -576,7 +576,7 @@ let timereport cfg =
     (1000. *. sum (fun e -> e.Odin.Session.ev_link_time));
   (* snapshot: the deterministic session/link/campaign counters gate as
      Exact; shard waits are contention-dependent; the O(changed)-refresh
-     counters gate as Cost — they measure scheduler/memo work, which is
+     counters gate as Cost — they measure scheduler/cache work, which is
      expected to drift as those paths evolve, within tolerance *)
   let agg : (string, int) Hashtbl.t = Hashtbl.create 32 in
   List.iter
@@ -1069,7 +1069,7 @@ let tier _cfg =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* O(changed) refresh scheduling: dirty-set indexes + opt memo         *)
+(* O(changed) refresh scheduling: dirty-set indexes + object cache     *)
 (* ------------------------------------------------------------------ *)
 
 (** Cost of *deciding* what to recompile, isolated from the work of
@@ -1077,15 +1077,16 @@ let tier _cfg =
     ~10k-fragment program. The incremental scheduler answers from the
     dirty-set and the persistent symbol->fragment indexes (O(changed));
     the full walk re-examines every fragment and filters every probe
-    (O(program)). One session per program runs the same toggle sequence
-    in both modes (the scheduler is a runtime switch) and the executable
-    images are compared after every refresh — the bit-identity bar,
-    checked live. The modelled refresh cost combines the deterministic
-    schedule, recompile and link costs:
+    (O(program)). Two sessions per program, one created with
+    [incremental_sched:false], run the same toggle sequence and the
+    executable images are compared after every refresh — the
+    bit-identity bar, checked live. The modelled refresh cost combines
+    the deterministic schedule, recompile and link costs:
     2*visited + 5*scheduled + 1000*recompiled + link cost. *)
 let schedule_bench _cfg =
   print_endline
-    "\n== O(changed) refresh scheduling (incremental scheduler + opt memo) ==";
+    "\n== O(changed) refresh scheduling (incremental scheduler + object \
+     cache) ==";
   let programs =
     [ Workloads.Profile.find_exn "sqlite"; Workloads.Profile.sqlite_xxl ]
   in
@@ -1099,30 +1100,29 @@ let schedule_bench _cfg =
          session.Odin.Session.telemetry.Telemetry.Recorder.metrics name)
   in
   let observe (p : Workloads.Profile.t) =
-    let m = Workloads.Generate.compile p in
-    let session =
-      Odin.Session.create ~mode:Odin.Partition.Max ~keep:[ entry ]
-        ~runtime_globals:[ Odin.Cov.runtime_global m ]
-        ~host:Workloads.Generate.host_functions m
-    in
-    ignore (Odin.Cov.setup session);
-    ignore (Odin.Session.build session);
-    let probe =
-      let found = ref None in
-      Instr.Manager.iter
-        (fun pr -> if !found = None then found := Some pr)
-        session.Odin.Session.manager;
-      Option.get !found
-    in
-    (* warm both objects (probe on / probe off): the steady state of a
-       long session, where the toggled fragment is already in the cache
-       (full walk) or the memo (incremental) *)
-    Instr.Manager.set_enabled session.Odin.Session.manager probe false;
-    ignore (Odin.Session.refresh session);
-    Instr.Manager.set_enabled session.Odin.Session.manager probe true;
-    ignore (Odin.Session.refresh session);
     let run_mode incremental =
-      Odin.Session.set_incremental_sched session incremental;
+      let m = Workloads.Generate.compile p in
+      let session =
+        Odin.Session.create ~mode:Odin.Partition.Max ~keep:[ entry ]
+          ~runtime_globals:[ Odin.Cov.runtime_global m ]
+          ~host:Workloads.Generate.host_functions
+          ~incremental_sched:incremental m
+      in
+      ignore (Odin.Cov.setup session);
+      ignore (Odin.Session.build session);
+      let probe =
+        let found = ref None in
+        Instr.Manager.iter
+          (fun pr -> if !found = None then found := Some pr)
+          session.Odin.Session.manager;
+        Option.get !found
+      in
+      (* warm both objects (probe on / probe off): the steady state of a
+         long session, where the toggled fragment is already cached *)
+      Instr.Manager.set_enabled session.Odin.Session.manager probe false;
+      ignore (Odin.Session.refresh session);
+      Instr.Manager.set_enabled session.Odin.Session.manager probe true;
+      ignore (Odin.Session.refresh session);
       (* identity + accounting pass (not timed): per-toggle image digest
          and the deterministic cost inputs *)
       let images = ref [] in
@@ -1166,14 +1166,16 @@ let schedule_bench _cfg =
         ignore (Odin.Session.refresh session)
       done;
       let ms = 1000. *. (Unix.gettimeofday () -. t0) /. float_of_int iters in
-      (ms, visited / iters, memo_hits, !recompiled, modelled, List.rev !images)
+      let frags =
+        Array.length session.Odin.Session.plan.Odin.Partition.fragments
+      in
+      ( frags,
+        ( ms, visited / iters, memo_hits, !recompiled, modelled,
+          List.rev !images ) )
     in
-    let inc = run_mode true in
-    let full = run_mode false in
-    ( p.Workloads.Profile.name,
-      Array.length session.Odin.Session.plan.Odin.Partition.fragments,
-      inc,
-      full )
+    let frags, inc = run_mode true in
+    let _, full = run_mode false in
+    (p.Workloads.Profile.name, frags, inc, full)
   in
   let rows = List.map observe programs in
   Support.Tab.print

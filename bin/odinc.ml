@@ -372,19 +372,6 @@ let fuzz_cmd =
              farm leaves the last barrier's journal, never a torn file. \
              Render it with $(b,odinc report).")
   in
-  let incremental_link =
-    Arg.(
-      value
-      & opt (some bool) None
-      & info [ "incremental-link" ] ~docv:"BOOL"
-          ~doc:
-            "Serve rebuilds through the incremental linker (address slabs + \
-             reverse relocation index): a refresh patches only the fragments \
-             that changed instead of relinking the whole image. Default on; \
-             ODIN_INCR_LINK=0 disables process-wide. Purely a performance \
-             switch — coverage, corpus and cycle counts are bit-identical \
-             either way.")
-  in
   let farm_mode =
     Arg.(
       value
@@ -467,9 +454,8 @@ let fuzz_cmd =
   in
   (* ------------- farm mode (--workers N) ------------- *)
   let run_farm ~r ~pool ~m ~entry ~execs ~no_prune ~workers ~sync_interval
-      ~prune_quorum ~cache_limit ~cache_dir ~incremental_link ~journal
-      ~farm_mode ~checkpoint ~resume ~worker_timeout ~adaptive_sync
-      ~vote_decay ~promote_share =
+      ~prune_quorum ~cache_limit ~cache_dir ~journal ~farm_mode ~checkpoint
+      ~resume ~worker_timeout ~adaptive_sync ~vote_decay ~promote_share =
     let cfg =
       {
         Farm.default_config with
@@ -503,13 +489,13 @@ let fuzz_cmd =
     let st =
       match farm_mode with
       | `Domains ->
-        Farm.run ~telemetry:r ~pool ?cache_dir ?incremental_link
-          ?journal_path:journal ?checkpoint_path:checkpoint ?resume
-          ~host:[ "printf"; "puts" ] ~entry ~seeds cfg m
+        Farm.run ~telemetry:r ~pool ?cache_dir ?journal_path:journal
+          ?checkpoint_path:checkpoint ?resume ~host:[ "printf"; "puts" ] ~entry
+          ~seeds cfg m
       | `Procs ->
-        Farm.Proc.run ~telemetry:r ?cache_dir ?incremental_link
-          ?journal_path:journal ?checkpoint_path:checkpoint ?resume
-          ~worker_timeout ~host:[ "printf"; "puts" ] ~entry ~seeds cfg m
+        Farm.Proc.run ~telemetry:r ?cache_dir ?journal_path:journal
+          ?checkpoint_path:checkpoint ?resume ~worker_timeout
+          ~host:[ "printf"; "puts" ] ~entry ~seeds cfg m
     in
     Printf.printf "farm       : %d workers (%s), %d sync rounds (interval \
                    %d%s)\n"
@@ -595,8 +581,8 @@ let fuzz_cmd =
     | None -> ()
   in
   let run file entry execs no_prune jobs metrics_csv span_limit cache_dir
-      workers sync_interval prune_quorum cache_limit journal incremental_link
-      farm_mode checkpoint resume worker_timeout adaptive_sync vote_decay
+      workers sync_interval prune_quorum cache_limit journal farm_mode
+      checkpoint resume worker_timeout adaptive_sync vote_decay
       promote_share fault_plan time_report trace_out =
     install_faults fault_plan;
     with_diagnostics @@ fun () ->
@@ -617,9 +603,8 @@ let fuzz_cmd =
     match workers with
     | Some n ->
       run_farm ~r ~pool ~m ~entry ~execs ~no_prune ~workers:n ~sync_interval
-        ~prune_quorum ~cache_limit ~cache_dir ~incremental_link ~journal
-        ~farm_mode ~checkpoint ~resume ~worker_timeout ~adaptive_sync
-        ~vote_decay ~promote_share;
+        ~prune_quorum ~cache_limit ~cache_dir ~journal ~farm_mode ~checkpoint
+        ~resume ~worker_timeout ~adaptive_sync ~vote_decay ~promote_share;
       (match metrics_csv with
       | Some path -> (
         try
@@ -634,8 +619,7 @@ let fuzz_cmd =
     let session =
       Odin.Session.create ~keep:[ entry ]
         ~runtime_globals:[ Odin.Cov.runtime_global m ]
-        ~host:[ "printf"; "puts" ] ~pool ?cache_dir
-        ?incremental_link:incremental_link ~telemetry:r m
+        ~host:[ "printf"; "puts" ] ~pool ?cache_dir ~telemetry:r m
     in
     let cov = Odin.Cov.setup session in
     ignore (Odin.Session.build session);
@@ -790,8 +774,8 @@ let fuzz_cmd =
     Term.(
       const run $ file $ entry $ execs $ no_prune $ jobs $ metrics_csv
       $ span_limit $ cache_dir $ workers $ sync_interval $ prune_quorum
-      $ cache_limit $ journal $ incremental_link $ farm_mode $ checkpoint
-      $ resume $ worker_timeout $ adaptive_sync $ vote_decay $ promote_share
+      $ cache_limit $ journal $ farm_mode $ checkpoint $ resume
+      $ worker_timeout $ adaptive_sync $ vote_decay $ promote_share
       $ fault_plan_arg $ time_report_arg $ trace_out_arg)
 
 (* ---------------- bench-diff ---------------- *)

@@ -151,8 +151,8 @@ let live workers = List.filter (fun w -> w.wk_dead = None) workers
     the orchestrator, between rounds) the sessions' fragment compiles;
     results are independent of its size. [cache_dir] puts the shared
     persistent object store behind every worker's session.
-    [incremental_link] and [incremental_sched] forward to every
-    worker's session (default: the session's own env-driven defaults).
+    [incremental_link:false] / [incremental_sched:false] give every
+    worker's session the full-link / full-walk reference path.
     [checkpoint_path] publishes a campaign checkpoint at every barrier;
     [resume] continues from one. *)
 let run ?telemetry ?pool ?cache_dir ?incremental_link ?incremental_sched

@@ -117,10 +117,11 @@ val dedup_rate : stats -> float
     names host functions registered as no-ops in each guest VM
     (defaults to the workloads' host set). Per-worker telemetry is
     recorded on forked recorders and merged into [telemetry] (or a
-    private recorder) at the end. [incremental_link] and
-    [incremental_sched] forward to each worker's session
-    ({!Odin.Session.create}); farm results are bit-identical whichever
-    way they are set.
+    private recorder) at the end. [incremental_link:false] /
+    [incremental_sched:false] (default [true]) give each worker's
+    session the full-link / full-walk reference path
+    ({!Odin.Session.create}); farm results are bit-identical either
+    way.
 
     [journal]/[journal_path] attach a campaign flight recorder: sync
     and counter-snapshot events are recorded at every barrier, per-probe

@@ -69,8 +69,6 @@ let worker_init (init : Wire.init) =
       ~runtime_globals:[ Odin.Cov.runtime_global m ]
       ~host:init.Wire.in_host ~pool:Support.Pool.serial
       ?cache_dir:init.Wire.in_cache_dir
-      ?incremental_link:init.Wire.in_incr_link
-      ?incremental_sched:init.Wire.in_incr_sched
       ~tiered:(init.Wire.in_promote_share > 0.) m
   in
   let cov = Odin.Cov.setup session in
@@ -175,10 +173,10 @@ let worker_main () =
     (the target digest must match). [worker_timeout] is the preemptive
     watchdog's heartbeat deadline in seconds; [max_restarts] the
     kill/restart budget per worker before it is retired. *)
-let run ?telemetry ?cache_dir ?incremental_link ?incremental_sched ?journal
-    ?journal_path ?(host = Workloads.Generate.host_functions) ?checkpoint_path
-    ?resume ?(worker_timeout = 30.) ?(max_restarts = 3) ?worker_argv
-    ?worker_env ~entry ~seeds (cfg : Orch.config) (base : Ir.Modul.t) =
+let run ?telemetry ?cache_dir ?journal ?journal_path
+    ?(host = Workloads.Generate.host_functions) ?checkpoint_path ?resume
+    ?(worker_timeout = 30.) ?(max_restarts = 3) ?worker_argv ?worker_env
+    ~entry ~seeds (cfg : Orch.config) (base : Ir.Modul.t) =
   let nw = max 1 cfg.Orch.fc_workers in
   let r = match telemetry with Some r -> r | None -> Recorder.create () in
   let jr =
@@ -231,8 +229,6 @@ let run ?telemetry ?cache_dir ?incremental_link ?incremental_sched ?journal
       in_mod_name = base.Ir.Modul.mname;
       in_mod_text = mod_text;
       in_cache_dir = cache_dir;
-      in_incr_link = incremental_link;
-      in_incr_sched = incremental_sched;
       in_promote_share = cfg.Orch.fc_promote_share;
     }
   in

@@ -39,8 +39,6 @@ val worker_main : unit -> unit
 val run :
   ?telemetry:Telemetry.Recorder.t ->
   ?cache_dir:string ->
-  ?incremental_link:bool ->
-  ?incremental_sched:bool ->
   ?journal:Telemetry.Journal.t ->
   ?journal_path:string ->
   ?host:string list ->

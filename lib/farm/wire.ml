@@ -43,8 +43,9 @@ let magic = "ODNW"
    v3: tiered compilation — Init carries the promotion threshold
    (workers derive their tiering from it), Assign carries the
    barrier-merged per-function cycle profile promotions are decided
-   from, and the checkpoint payload moved to ckpt v2. *)
-let version = 3
+   from, and the checkpoint payload moved to ckpt v2.
+   v4: Init dropped the incremental link/scheduler mode fields. *)
+let version = 4
 let header_len = 14
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Wire_error m)) fmt
@@ -79,8 +80,6 @@ let w_f64 b x =
 let w_str b s =
   w_u32 b (String.length s);
   Buffer.add_string b s
-
-let w_bool b v = w_u8 b (if v then 1 else 0)
 
 let w_opt b f = function
   | None -> w_u8 b 0
@@ -129,8 +128,6 @@ let r_str c =
   let s = String.sub c.data c.pos n in
   c.pos <- c.pos + n;
   s
-
-let r_bool c = r_u8 c <> 0
 
 let r_opt c f = match r_u8 c with 0 -> None | 1 -> Some (f c) | n -> fail "bad option tag %d" n
 
@@ -367,8 +364,6 @@ type init = {
   in_mod_name : string;
   in_mod_text : string;
   in_cache_dir : string option;
-  in_incr_link : bool option;
-  in_incr_sched : bool option;
   in_promote_share : float;
       (** > 0: run the worker's session tiered; the threshold it feeds
           to [Odin.Session.promote_hot] each round. 0.0: untiered. *)
@@ -438,8 +433,6 @@ let encode_payload b = function
     w_str b i.in_mod_name;
     w_str b i.in_mod_text;
     w_opt b w_str i.in_cache_dir;
-    w_opt b w_bool i.in_incr_link;
-    w_opt b w_bool i.in_incr_sched;
     w_f64 b i.in_promote_share
   | Ready { rd_id; rd_n_probes } ->
     w_i64 b rd_id;
@@ -482,8 +475,6 @@ let decode_payload tag c =
     let in_mod_name = r_str c in
     let in_mod_text = r_str c in
     let in_cache_dir = r_opt c r_str in
-    let in_incr_link = r_opt c r_bool in
-    let in_incr_sched = r_opt c r_bool in
     let in_promote_share = r_f64 c in
     Init
       {
@@ -496,8 +487,6 @@ let decode_payload tag c =
         in_mod_name;
         in_mod_text;
         in_cache_dir;
-        in_incr_link;
-        in_incr_sched;
         in_promote_share;
       }
   | 2 ->
@@ -785,14 +774,12 @@ module Codec = struct
   let w_i64 = w_i64
   let w_f64 = w_f64
   let w_str = w_str
-  let w_bool = w_bool
   let w_opt = w_opt
   let w_list = w_list
   let r_u8 = r_u8
   let r_i64 = r_i64
   let r_f64 = r_f64
   let r_str = r_str
-  let r_bool = r_bool
   let r_opt = r_opt
   let r_list = r_list
   let fail = fail

@@ -32,8 +32,6 @@ type init = {
   in_mod_name : string;
   in_mod_text : string;
   in_cache_dir : string option;
-  in_incr_link : bool option;
-  in_incr_sched : bool option;
   in_promote_share : float;
       (** > 0: run the worker's session tiered; the threshold it feeds
           to [Odin.Session.promote_hot] each round. 0.0: untiered. *)
@@ -163,14 +161,12 @@ module Codec : sig
   val w_i64 : Buffer.t -> int -> unit
   val w_f64 : Buffer.t -> float -> unit
   val w_str : Buffer.t -> string -> unit
-  val w_bool : Buffer.t -> bool -> unit
   val w_opt : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a option -> unit
   val w_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
   val r_u8 : cursor -> int
   val r_i64 : cursor -> int
   val r_f64 : cursor -> float
   val r_str : cursor -> string
-  val r_bool : cursor -> bool
   val r_opt : cursor -> (cursor -> 'a) -> 'a option
   val r_list : cursor -> (cursor -> 'a) -> 'a list
 

@@ -13,9 +13,10 @@
 
     Concurrency: scheduled fragments compile in parallel on a
     [Support.Pool] (the link step stays a serial barrier), and a
-    content-addressed LRU object cache in front of codegen turns probe
-    toggle round-trips into relink-only refreshes. Both are invisible
-    to correctness: output is bit-identical for any pool size.
+    content-addressed LRU object cache in front of verify, optimize and
+    codegen turns probe toggle round-trips into relink-only refreshes.
+    Both are invisible to correctness: output is bit-identical for any
+    pool size.
 
     Fault tolerance: [build]/[refresh] are transactional. The mutable
     session state (fragment cache, executable, degradation set) is
@@ -122,19 +123,19 @@ type rebuild_outcome = Ok | Degraded of int list | Rolled_back of build_error
 
 (** Content-addressed object cache: structural digest of the
     instrumented fragment IR (plus opt config) -> finished object. A
-    hit skips optimize+codegen — probe sets toggled off and on again
-    relink the cached object instead of recompiling.
+    hit skips verify, optimize and codegen — probe sets toggled off and
+    on again relink the cached object instead of recompiling.
 
     The cache is shareable: several sessions over the same base module
     (the fuzzing farm's workers) can be created with one
     {!object_cache}, so a fragment compiled by one worker is a hit for
-    every other. [oc_owners] remembers which session ([~owner]) first
-    produced each key; a hit by a different session is a {e cross hit},
-    the farm's measure of sharing. *)
+    every other. Each entry carries the session ([~owner]) that put it
+    there; a hit by a different session is a {e cross hit}, the farm's
+    measure of sharing. *)
 type cache_shard = {
-  cs_lru : Link.Objfile.t Support.Lru.t;
-  cs_lock : Mutex.t;  (** guards [cs_lru] and [cs_owners] *)
-  cs_owners : (string, int) Hashtbl.t;  (** key -> owner that produced it *)
+  cs_lru : (int * Link.Objfile.t) Support.Lru.t;
+      (** key -> (owner that produced the entry, object) *)
+  cs_lock : Mutex.t;  (** guards [cs_lru] *)
 }
 
 type object_cache = {
@@ -154,11 +155,7 @@ let object_cache ?(size = 256) ?(shards = 8) () =
   {
     oc_shards =
       Array.init n (fun _ ->
-          {
-            cs_lru = Support.Lru.create per;
-            cs_lock = Mutex.create ();
-            cs_owners = Hashtbl.create 16;
-          });
+          { cs_lru = Support.Lru.create per; cs_lock = Mutex.create () });
     oc_cross_hits = Atomic.make 0;
     oc_waits = Atomic.make 0;
   }
@@ -198,7 +195,7 @@ type t = {
   manager : Instr.Manager.t;
   cache : (int, Link.Objfile.t) Hashtbl.t;
   objects : object_cache;  (** content-addressed tier; possibly shared *)
-  owner : int;  (** this session's identity in [objects.oc_owners] *)
+  owner : int;  (** this session's identity in [objects]' entries *)
   store : Support.Objstore.t option;
       (** persistent tier behind [objects]: on-disk content-addressed
           store ([--cache-dir]) so a process restart starts warm *)
@@ -206,22 +203,17 @@ type t = {
   runtime : Link.Objfile.t;  (** runtime globals (counter arrays, ...) *)
   linker : Link.Incremental.t;
       (** persistent link state: slabs + reverse relocation index, so a
-          refresh relinks only what changed (when [incr_link]) *)
-  mutable incr_link : bool;  (** patch instead of full relink when safe *)
-  mutable incr_sched : bool;
+          refresh relinks only what changed *)
+  incr_link : bool;
+      (** patch instead of full relink when safe; [false] selects the
+          full-link reference path *)
+  incr_sched : bool;
       (** O(changed) refreshes: schedule through the symbol->fragment
-          indexes instead of walking every fragment, and short-circuit
-          unchanged fragments through the Shash memo before the pass
-          pipeline *)
+          indexes; [false] selects the full-walk reference path *)
   clone_index : (string, int list) Hashtbl.t;
       (** copy-on-use symbol -> fragments that cloned it (fid ascending);
           built once from the plan — with [plan.frag_of] it answers the
           symbols->fragments step of Algorithm 2 without the full walk *)
-  memo : (string, Link.Objfile.t) Hashtbl.t;
-      (** optimization memo: Ir.Shash digest of the instrumented fragment
-          IR -> finished object. A hit returns before verify, the shard
-          locks and Opt.Pipeline; reset by {!set_opt_rounds}. Written
-          only from the serial join loop, read concurrently by jobs *)
   mutable tiered : bool;
       (** two-tier compilation: freshly changed fragments compile through
           the single-pass tier-0 baseline backend (no [Opt.Pipeline], no
@@ -291,22 +283,6 @@ let store_format_version = 3
 (* Session construction                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* ODIN_INCR_LINK=0 (or false/off/no) disables the incremental linker
-   process-wide; the [?incremental_link] create param overrides. *)
-let env_incremental_link () =
-  match Sys.getenv_opt "ODIN_INCR_LINK" with
-  | Some ("0" | "false" | "off" | "no") -> false
-  | _ -> true
-
-(* ODIN_INCR_SCHED=0 (or false/off/no) disables the incremental probe
-   scheduler and the Shash optimization memo process-wide — the escape
-   hatch back to the O(program) full-walk refresh path; the
-   [?incremental_sched] create param overrides. *)
-let env_incremental_sched () =
-  match Sys.getenv_opt "ODIN_INCR_SCHED" with
-  | Some ("0" | "false" | "off" | "no") -> false
-  | _ -> true
-
 (* ODIN_TIER=1 (or true/on/yes) enables tiered compilation process-wide;
    ODIN_TIER=0 (or unset) keeps the classic always-optimized pipeline.
    The [?tiered] create param overrides. *)
@@ -324,11 +300,13 @@ let env_tiered () =
     transient faults; [job_timeout] arms the cooperative per-fragment
     compile watchdog; [objects] shares one content-addressed object
     cache between several sessions (see {!object_cache}), with [owner]
-    identifying this session for cross-hit accounting. *)
+    identifying this session for cross-hit accounting;
+    [incremental_link:false] / [incremental_sched:false] select the
+    full-link / full-walk reference paths the tests compare against. *)
 let create ?(mode = Partition.Auto) ?(copy_on_use = true) ?(keep = [ "main" ])
     ?(runtime_globals = []) ?(host = []) ?(opt_rounds = 2) ?pool
     ?(cache_size = 256) ?objects ?(owner = 0) ?cache_dir ?(max_retries = 2)
-    ?job_timeout ?incremental_link ?incremental_sched ?tiered
+    ?job_timeout ?(incremental_link = true) ?(incremental_sched = true) ?tiered
     ?(telemetry = Telemetry.Recorder.create ()) (base : Ir.Modul.t) =
   Ir.Verify.run_exn base;
   (* session setup is not a rebuild: the classification survey runs the
@@ -392,16 +370,9 @@ let create ?(mode = Partition.Auto) ?(copy_on_use = true) ?(keep = [ "main" ])
     pool = (match pool with Some p -> p | None -> Support.Pool.default ());
     runtime;
     linker = Link.Incremental.create ();
-    incr_link =
-      (match incremental_link with
-      | Some b -> b
-      | None -> env_incremental_link ());
-    incr_sched =
-      (match incremental_sched with
-      | Some b -> b
-      | None -> env_incremental_sched ());
+    incr_link = incremental_link;
+    incr_sched = incremental_sched;
     clone_index;
-    memo = Hashtbl.create 64;
     tiered = (match tiered with Some b -> b | None -> env_tiered ());
     tier_of = Hashtbl.create 32;
     promote_pending = Hashtbl.create 8;
@@ -427,34 +398,14 @@ let create ?(mode = Partition.Auto) ?(copy_on_use = true) ?(keep = [ "main" ])
 
 (** Change the fragment re-optimization bound. Takes effect on the next
     rebuild; cached objects compiled under the old setting are not
-    reused (the bound is part of the cache key), and the optimization
-    memo is dropped outright. *)
-let set_opt_rounds t rounds =
-  t.opt_rounds <- max 0 rounds;
-  Hashtbl.reset t.memo
+    reused (the bound is part of the cache key). *)
+let set_opt_rounds t rounds = t.opt_rounds <- max 0 rounds
 
 (** Change the bounded-retry count for transient fragment faults. *)
 let set_max_retries t n = t.max_retries <- max 0 n
 
 (** Arm/disarm the cooperative per-fragment compile watchdog. *)
 let set_job_timeout t timeout = t.job_timeout <- timeout
-
-(** Enable/disable the incremental link path for subsequent rebuilds.
-    Purely a performance switch: the resulting executable is
-    semantically identical either way. *)
-let set_incremental_link t b = t.incr_link <- b
-
-let incremental_link t = t.incr_link
-
-(** Enable/disable the incremental scheduler + optimization memo for
-    subsequent rebuilds. Purely a performance switch: schedules, images
-    and VM behavior are identical either way. *)
-let set_incremental_sched t b = t.incr_sched <- b
-
-let incremental_sched t = t.incr_sched
-
-(** Entries currently held by the optimization memo. *)
-let memo_size t = Hashtbl.length t.memo
 
 (* ------------------------------------------------------------------ *)
 (* Tiered compilation                                                  *)
@@ -913,10 +864,7 @@ let rebuild (sched : sched) =
     let tier = tier_for t fid in
     (* One full attempt at producing this fragment's object from
        [produce_source]; raises on failure. Returns (object, served
-       from cache/store/memo?, content key to memoize, modelled
-       compile cost — 0 when served). The key is [None] on a memo hit
-       (already memoized) — the join loop is the only writer of
-       [t.memo]. *)
+       from cache/store?, modelled compile cost — 0 when served). *)
     let produce produce_source =
       let frag_module =
         Telemetry.Span.with_span jspans ~cat:"session" "materialize" (fun () ->
@@ -928,57 +876,29 @@ let rebuild (sched : sched) =
          output for equal input. Digested structurally (one visitor
          pass, Ir.Shash) — same equivalence as printing, without
          materializing the printed module. Digest runs before verify so
-         the session memo can short-circuit the whole remaining walk:
-         an equal digest means a structurally identical module, which
-         already verified when the memo entry was made *)
+         a cache hit short-circuits the whole remaining walk: an entry
+         is only added for a module that verified, so an equal digest
+         means a structurally identical module that already verified *)
       let key =
         Telemetry.Span.with_span jspans ~cat:"session" "digest" (fun () ->
             let b = Buffer.create 4096 in
             (* the tier is part of the content address: a baseline
                object can never satisfy an optimized lookup (or vice
-               versa) in the memo, the shared cache or the store *)
+               versa) in the cache or the store *)
             Buffer.add_string b
               (Printf.sprintf "fid=%d;rounds=%d;tier=%d;" fid t.opt_rounds tier);
             Ir.Shash.add_module b frag_module;
             Digest.bytes (Buffer.to_bytes b))
       in
-      let memoized =
-        if t.incr_sched then Hashtbl.find_opt t.memo key else None
-      in
-      match memoized with
-      | Some obj ->
-        (* unchanged fragment: skip verify, the shard locks, the store
-           round-trip and Opt.Pipeline entirely. Reads race only with
-           other readers — the memo is written solely from the serial
-           join loop between pool batches *)
-        Telemetry.Span.add_arg fsp "cache" "memo";
-        Telemetry.Recorder.count (Some jr) "session.opt_memo_hits";
-        (obj, true, None, 0)
-      | None ->
-      Telemetry.Span.with_span jspans ~cat:"session" "verify" (fun () ->
-          match Ir.Verify.check_module frag_module with
-          | [] -> ()
-          | errors ->
-            raise
-              (Build_error
-                 (mk_error ~fragment:fid ~probes Verify
-                    (Printf.sprintf "fragment %d does not verify:\n%s" fid
-                       (Ir.Verify.errors_to_string errors)))));
       let oc = t.objects in
+      let remember obj =
+        with_shard oc key (fun cs ->
+            Support.Lru.add cs.cs_lru key (t.owner, obj))
+      in
       let cached =
         try
           Support.Fault.hit "cache.get";
-          with_shard oc key (fun cs ->
-              let v = Support.Lru.find cs.cs_lru key in
-              (match v with
-              | Some _
-                when Hashtbl.find_opt cs.cs_owners key <> Some t.owner
-                     && Hashtbl.mem cs.cs_owners key ->
-                (* served an object another session produced *)
-                Atomic.incr oc.oc_cross_hits;
-                Telemetry.Recorder.count (Some jr) "session.cache_cross_hits"
-              | _ -> ());
-              v)
+          with_shard oc key (fun cs -> Support.Lru.find cs.cs_lru key)
         with
         | Support.Fault.Injected _ | Support.Fault.Transient_fault _ ->
           (* a poisoned or faulting cache lookup degrades to a miss *)
@@ -986,10 +906,27 @@ let rebuild (sched : sched) =
           None
       in
       match cached with
-      | Some obj ->
+      | Some (owner, obj) ->
+        (* unchanged fragment state: skip verify, the store round-trip
+           and Opt.Pipeline entirely *)
+        if owner <> t.owner then begin
+          (* served an object another session produced *)
+          Atomic.incr oc.oc_cross_hits;
+          Telemetry.Recorder.count (Some jr) "session.cache_cross_hits"
+        end;
         Telemetry.Span.add_arg fsp "cache" "hit";
-        (obj, true, Some key, 0)
+        Telemetry.Recorder.count (Some jr) "session.opt_memo_hits";
+        (obj, true, 0)
       | None -> (
+        Telemetry.Span.with_span jspans ~cat:"session" "verify" (fun () ->
+            match Ir.Verify.check_module frag_module with
+            | [] -> ()
+            | errors ->
+              raise
+                (Build_error
+                   (mk_error ~fragment:fid ~probes Verify
+                      (Printf.sprintf "fragment %d does not verify:\n%s" fid
+                         (Ir.Verify.errors_to_string errors)))));
         (* persistent tier: a store hit skips optimize+codegen too *)
         let from_store =
           match t.store with
@@ -1005,11 +942,8 @@ let rebuild (sched : sched) =
         | Some obj ->
           Telemetry.Span.add_arg fsp "cache" "store-hit";
           Telemetry.Recorder.count (Some jr) "session.store_hits";
-          with_shard oc key (fun cs ->
-              Support.Lru.add cs.cs_lru key obj;
-              if not (Hashtbl.mem cs.cs_owners key) then
-                Hashtbl.replace cs.cs_owners key t.owner);
-          (obj, true, Some key, 0)
+          remember obj;
+          (obj, true, 0)
         | None ->
           (* tier 0 is the whole point of the baseline path: skip the
              pass pipeline entirely and run the single-pass backend.
@@ -1024,14 +958,11 @@ let rebuild (sched : sched) =
             Telemetry.Span.with_span jspans ~cat:"session" "codegen" (fun () ->
                 Link.Objfile.of_module ~tier ~cost frag_module)
           in
-          with_shard oc key (fun cs ->
-              Support.Lru.add cs.cs_lru key obj;
-              if not (Hashtbl.mem cs.cs_owners key) then
-                Hashtbl.replace cs.cs_owners key t.owner);
+          remember obj;
           (match t.store with
           | None -> ()
           | Some st -> Support.Objstore.put st key (Marshal.to_string obj []));
-          (obj, false, Some key, !cost))
+          (obj, false, !cost))
     in
     (* Bounded retries with virtual-clock backoff for transient faults;
        the cooperative watchdog (armed below) can cut any attempt short. *)
@@ -1049,8 +980,8 @@ let rebuild (sched : sched) =
       Support.Fault.with_deadline t.job_timeout (fun () -> attempt 0)
     in
     match result with
-    | Stdlib.Ok (obj, hit, mkey, cost) ->
-      (fid, Stdlib.Ok (obj, hit, false, mkey, Some tier, cost), jr, fsp)
+    | Stdlib.Ok (obj, hit, cost) ->
+      (fid, Stdlib.Ok (obj, hit, false, Some tier, cost), jr, fsp)
     | Stdlib.Error err -> (
       Telemetry.Span.add_arg fsp "degraded" "true";
       Telemetry.Recorder.count (Some jr) "session.fragment_faults";
@@ -1062,14 +993,14 @@ let rebuild (sched : sched) =
          ([None] = leave [tier_of] alone). *)
       match Hashtbl.find_opt t.cache fid with
       | Some last_good ->
-        (fid, Stdlib.Ok (last_good, false, true, None, None, 0), jr, fsp)
+        (fid, Stdlib.Ok (last_good, false, true, None, 0), jr, fsp)
       | None -> (
         match
           Support.Fault.with_suppressed (fun () ->
               try Stdlib.Ok (produce (fun _ -> None)) with e -> Stdlib.Error e)
         with
-        | Stdlib.Ok (obj, hit, mkey, cost) ->
-          (fid, Stdlib.Ok (obj, hit, true, mkey, Some tier, cost), jr, fsp)
+        | Stdlib.Ok (obj, hit, cost) ->
+          (fid, Stdlib.Ok (obj, hit, true, Some tier, cost), jr, fsp)
         | Stdlib.Error _ ->
           (* no last-good and even the pristine object will not build:
              nothing consistent to serve — fatal, forces a rollback *)
@@ -1096,16 +1027,11 @@ let rebuild (sched : sched) =
   List.iter
     (fun (fid, res, jr, fsp) ->
       (match res with
-      | Stdlib.Ok (obj, hit, degr, mkey, tier, cost) ->
+      | Stdlib.Ok (obj, hit, degr, tier, cost) ->
         (match Hashtbl.find_opt t.cache fid with
         | Some prev when prev == obj -> ()
         | _ -> changed_objs := obj.Link.Objfile.o_name :: !changed_objs);
         Hashtbl.replace t.cache fid obj;
-        (* the join loop is the memo's only writer: pool jobs read it
-           concurrently, so writes must never overlap a batch *)
-        (match mkey with
-        | Some k when t.incr_sched -> Hashtbl.replace t.memo k obj
-        | _ -> ());
         (* tier bookkeeping: record the tier the object now serving this
            fragment was compiled at, count fresh compiles per tier, and
            retire the promotion once its tier-1 object is in *)
@@ -1198,9 +1124,9 @@ let rebuild (sched : sched) =
       ~by:(List.length sched.changed_fragments - !cache_hits)
       "session.fragments_recompiled";
     Telemetry.Recorder.count some_r ~by:!cache_hits "session.fragment_cache_hits";
-    (* memo hits are counted into the per-job recorders as they happen;
-       touch the counter here so it is present (possibly 0) in every
-       report, like the other rebuild counters *)
+    (* in-memory cache hits are counted into the per-job recorders as
+       they happen; touch the counter here so it is present (possibly 0)
+       in every report, like the other rebuild counters *)
     Telemetry.Recorder.count some_r ~by:0 "session.opt_memo_hits";
     Telemetry.Recorder.count some_r
       ~by:(cache_evictions t.objects - evictions_before)

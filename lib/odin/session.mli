@@ -84,14 +84,18 @@ type rebuild_outcome = Ok | Degraded of int list | Rolled_back of build_error
 
 (** Content-addressed object cache: structural digest ({!Ir.Shash}) of
     the instrumented fragment IR (plus opt config) -> finished object.
-    Shareable between sessions over the same base module (the fuzzing
-    farm's workers): a fragment compiled by one session is a hit for
-    every other, and a hit on an entry some {e other} session produced
-    is counted as a {e cross hit}. *)
+    It is the session's only in-memory object cache, bounded by its
+    size: a lookup runs right after the digest, so a hit skips verify,
+    the store and {!Opt.Pipeline} (an entry is only added for a module
+    that verified). Shareable between sessions over the same base
+    module (the fuzzing farm's workers): a fragment compiled by one
+    session is a hit for every other. Each entry carries the [~owner]
+    that put it there, and a hit on an entry some {e other} session put
+    there is counted as a {e cross hit}. *)
 type cache_shard = {
-  cs_lru : Link.Objfile.t Support.Lru.t;
+  cs_lru : (int * Link.Objfile.t) Support.Lru.t;
+      (** key -> (owner that produced the entry, object) *)
   cs_lock : Mutex.t;
-  cs_owners : (string, int) Hashtbl.t;  (** key -> [~owner] that produced it *)
 }
 
 (** The cache is lock-striped: a key maps deterministically (first
@@ -138,25 +142,18 @@ type t = {
   linker : Link.Incremental.t;
       (** persistent link state (address slabs + reverse relocation
           index); lets a refresh patch only what changed *)
-  mutable incr_link : bool;
+  incr_link : bool;
       (** serve rebuilds through the incremental patch path when safe;
-          semantics are identical either way (see {!Link.Incremental}) *)
-  mutable incr_sched : bool;
+          [false] selects the full-link reference path (see
+          {!Link.Incremental}) *)
+  incr_sched : bool;
       (** O(changed) refresh path: schedule from the dirty-set through
-          the persistent symbol->fragment indexes and short-circuit
-          unchanged fragments through the Shash memo; schedules and
-          images are identical either way *)
+          the persistent symbol->fragment indexes; [false] selects the
+          full-walk reference path *)
   clone_index : (string, int list) Hashtbl.t;
       (** copy-on-use symbol -> fragments holding a clone of it
           (fragment ids ascending); built once at create, immutable —
           the plan's clone sets never change after partitioning *)
-  memo : (string, Link.Objfile.t) Hashtbl.t;
-      (** per-session optimization memo: Shash digest of the
-          instrumented fragment -> finished object. Lets an unchanged
-          fragment skip verify, cache locks and {!Opt.Pipeline}
-          entirely. Reset by {!set_opt_rounds} (the digest also embeds
-          the bound — belt and braces); written only from the serial
-          join loop, read concurrently by pool jobs *)
   mutable tiered : bool;
       (** two-tier compilation: freshly changed fragments compile
           through the single-pass tier-0 baseline backend and hot
@@ -238,14 +235,13 @@ val map_func : sched -> string -> Ir.Func.t option
     @param job_timeout cooperative per-fragment compile watchdog
       (seconds); an overrunning job degrades instead of stalling the join
     @param incremental_link serve rebuilds through the incremental
-      linker's patch path when provably safe (default: on, unless
-      [ODIN_INCR_LINK=0]); purely a performance switch — executables
-      are semantically identical either way
+      linker's patch path when provably safe (default [true]); [false]
+      selects the full-link reference path that tests and benches
+      compare against — executables are identical either way
     @param incremental_sched schedule refreshes from the probe dirty-set
-      through persistent symbol->fragment indexes and memoize
-      optimization by fragment Shash (default: on, unless
-      [ODIN_INCR_SCHED=0]); purely a performance switch — schedules,
-      images and outcomes are identical either way
+      through persistent symbol->fragment indexes (default [true]);
+      [false] selects the full-walk reference path — schedules, images
+      and outcomes are identical either way
     @param tiered two-tier compilation (default: off, unless
       [ODIN_TIER=1]): freshly changed fragments compile through the
       single-pass tier-0 baseline backend ({!Codegen.Baseline}, no
@@ -278,8 +274,7 @@ val create :
 
 (** Change the fragment re-optimization bound for subsequent rebuilds.
     The bound is part of the object-cache key, so cached objects from
-    the old setting are never reused; the per-session optimization memo
-    is reset outright. *)
+    the old setting are never reused. *)
 val set_opt_rounds : t -> int -> unit
 
 (** Change the bounded-retry count for transient fragment faults. *)
@@ -287,20 +282,6 @@ val set_max_retries : t -> int -> unit
 
 (** Arm/disarm the cooperative per-fragment compile watchdog (seconds). *)
 val set_job_timeout : t -> float option -> unit
-
-(** Enable/disable the incremental link path for subsequent rebuilds. *)
-val set_incremental_link : t -> bool -> unit
-
-val incremental_link : t -> bool
-
-(** Enable/disable the incremental scheduler + opt memo for subsequent
-    rebuilds. *)
-val set_incremental_sched : t -> bool -> unit
-
-val incremental_sched : t -> bool
-
-(** Entries in the per-session optimization memo (digest -> object). *)
-val memo_size : t -> int
 
 (** Whether this session compiles freshly changed fragments through the
     tier-0 baseline backend. *)

@@ -23,10 +23,10 @@
     Memoization lives one level up, not here: the pipeline is a pure
     function of its input module (given the round bound), so
     Session.rebuild short-circuits a fragment whose structural digest
-    ([Ir.Shash]) it has already optimized and never calls
-    [run_fragment] for it — the [session.opt_memo_hits] counter records
-    those skips. Keeping this module memo-free is what keeps it
-    trivially re-entrant. *)
+    ([Ir.Shash]) hits its object cache and never calls [run_fragment]
+    for it — the [session.opt_memo_hits] counter records those skips.
+    Keeping this module memo-free is what keeps it trivially
+    re-entrant. *)
 
 let standard_passes ?(keep = [ "main" ]) () =
   [

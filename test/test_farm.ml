@@ -18,7 +18,8 @@ let entry = Fuzzer.Campaign.entry
 let seeds = Workloads.Generate.seed_inputs ~count:2 tiny
 
 let run_farm ?(workers = 1) ?(execs = 60) ?(sync = 20) ?(quorum = 1)
-    ?cache_dir ?cache_limit ?(pool = Pool.serial) () =
+    ?cache_dir ?cache_limit ?incremental_link ?incremental_sched
+    ?(pool = Pool.serial) () =
   let m = Workloads.Generate.compile tiny in
   let cfg =
     {
@@ -30,7 +31,8 @@ let run_farm ?(workers = 1) ?(execs = 60) ?(sync = 20) ?(quorum = 1)
       fc_cache_limit = cache_limit;
     }
   in
-  Farm.run ~pool ?cache_dir ~entry ~seeds cfg m
+  Farm.run ~pool ?cache_dir ?incremental_link ?incremental_sched ~entry ~seeds
+    cfg m
 
 (* ---------------- worker-count invariance ------------------------------ *)
 
@@ -74,7 +76,14 @@ let test_invariance_across_workers () =
           (Printf.sprintf "cross hits (w=%d)" (List.nth [ 1; 2; 4 ] i))
           true
           (st.Farm.fs_cross_hits > 0))
-    sts
+    sts;
+  (* the full-link and full-walk reference paths are invisible to the
+     campaign *)
+  let reference =
+    run_farm ~workers:2 ~incremental_link:false ~incremental_sched:false ()
+  in
+  Alcotest.(check bool) "full link + full walk identical" true
+    (logical reference = logical base)
 
 let test_invariance_no_prune () =
   let a = run_farm ~workers:1 ~quorum:0 () in
@@ -435,6 +444,48 @@ let test_shared_cache_cross_hits () =
     (fun x -> Alcotest.(check int64) "same behaviour" (run s0 x) (run s1 x))
     [ 0L; 5L; 41L ]
 
+(* A cross hit is a hit on an entry another session put in the cache,
+   not on a key another session once produced: after A's copy of a
+   state is evicted and B recompiles it, B's hits on its own copy are
+   not cross hits. One fragment and a 2-entry single-shard LRU make the
+   eviction order exact. *)
+let test_cross_hits_follow_the_entry () =
+  let shared = Odin.Session.object_cache ~size:2 ~shards:1 () in
+  let mk owner =
+    let m = Minic.Lower.compile shared_src in
+    let s =
+      Odin.Session.create ~mode:Odin.Partition.One ~keep:[ "main" ]
+        ~runtime_globals:[ Odin.Cov.runtime_global m ]
+        ~objects:shared ~owner m
+    in
+    ignore (Odin.Cov.setup s);
+    ignore (Odin.Session.build s);
+    s
+  in
+  (* set probe [i] of session [s] and refresh; the recompile event *)
+  let set s i enabled =
+    let mgr = s.Odin.Session.manager in
+    Instr.Manager.set_enabled mgr
+      (List.nth (Instr.Manager.to_list mgr) i)
+      enabled;
+    Option.get (Odin.Session.refresh s)
+  in
+  let hits (ev : Odin.Session.recompile_event) = ev.Odin.Session.ev_cache_hits in
+  (* LRU contents, oldest first, after each step *)
+  let a = mk 0 in (* [all(A)] *)
+  ignore (set a 0 false); (* [all(A); -p(A)] *)
+  let b = mk 1 in (* B's build hits all(A): [-p(A); all(A)] *)
+  Alcotest.(check int) "B's build is a cross hit" 1
+    (Odin.Session.cross_hits shared);
+  ignore (set a 1 false); (* [all(A); -p-q(A)] *)
+  Alcotest.(check int) "B recompiles the evicted state" 0
+    (hits (set b 0 false)); (* [-p-q(A); -p(B)] *)
+  Alcotest.(check int) "B recompiles the initial state" 0
+    (hits (set b 0 true)); (* [-p(B); all(B)] *)
+  Alcotest.(check int) "B hits its own copy" 1 (hits (set b 0 false));
+  Alcotest.(check int) "no cross hit on B's own copy" 1
+    (Odin.Session.cross_hits shared)
+
 (* ---------------- structural fragment hashing -------------------------- *)
 
 let test_shash_agrees_with_printer () =
@@ -592,6 +643,8 @@ let () =
         [
           Alcotest.test_case "cross-session hits" `Quick
             test_shared_cache_cross_hits;
+          Alcotest.test_case "cross hits follow the entry" `Quick
+            test_cross_hits_follow_the_entry;
         ] );
       ( "shash",
         [

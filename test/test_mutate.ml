@@ -90,12 +90,7 @@ let rows_of fam (m : Analysis.matrix) =
   List.filter (fun r -> r.Analysis.r_family = fam) m.Analysis.m_rows
 
 let test_operators_plant_and_kill () =
-  (* the campaign creates its sessions itself, so the incremental
-     linker this test is about is pinned through the environment *)
-  let matrix, stats =
-    with_env "ODIN_INCR_LINK" "1" (fun () ->
-        run (mk_cfg ()) ~suite:unit_suite (compile unit_src))
-  in
+  let matrix, stats = run (mk_cfg ()) ~suite:unit_suite (compile unit_src) in
   Alcotest.(check bool) "mutants generated" true (matrix.Analysis.m_generated > 0);
   Alcotest.(check int) "suite size" 3 matrix.Analysis.m_tests;
   List.iter
@@ -222,7 +217,7 @@ let test_toggle_many_one_pass () =
   let session =
     Odin.Session.create ~mode:Odin.Partition.Max
       ~keep:[ Fuzzer.Campaign.entry ] ~host:Workloads.Generate.host_functions
-      ~pool:Pool.serial ~incremental_link:true ~incremental_sched:true m
+      ~pool:Pool.serial m
   in
   let mutants = Gen.setup session in
   ignore (Odin.Session.build session);

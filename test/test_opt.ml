@@ -1160,7 +1160,7 @@ let image_digest (exe : Link.Linker.exe) =
 let golden_session ?mode ?(runtime_globals = []) m =
   Odin.Session.create ?mode ~keep:[ golden_entry ] ~runtime_globals
     ~host:Workloads.Generate.host_functions ~pool:Support.Pool.serial
-    ~incremental_link:true ~incremental_sched:true ~tiered:false m
+    ~tiered:false m
 
 (* whole-module O2 of every profile but sqlite-xxl *)
 let golden_o2 () =

@@ -22,13 +22,12 @@ let compile = Minic.Lower.compile
 
 (* Max partition: one fragment per function, so every rebuild is a
    genuinely multi-fragment batch. *)
-let make_session ?(pool = Pool.serial) ?cache_size ?opt_rounds
-    ?incremental_sched () =
+let make_session ?(pool = Pool.serial) ?cache_size ?opt_rounds () =
   let m = compile target_src in
   let session =
     Odin.Session.create ~mode:Odin.Partition.Max ~keep:[ "main" ]
       ~runtime_globals:[ Odin.Cov.runtime_global m ]
-      ~pool ?cache_size ?opt_rounds ?incremental_sched m
+      ~pool ?cache_size ?opt_rounds m
   in
   let cov = Odin.Cov.setup session in
   ignore (Odin.Session.build session);
@@ -144,10 +143,8 @@ let test_cache_hit_on_toggle_round_trip () =
 
 let test_lru_eviction () =
   (* capacity 1 with a multi-fragment batch: every rebuild thrashes, so
-     the round trip gets no hits and the eviction counter moves. The
-     session-level Shash memo is off — it would serve the round trip
-     without ever touching the LRU under test *)
-  let session, _ = make_session ~cache_size:1 ~incremental_sched:false () in
+     the round trip gets no hits and the eviction counter moves *)
+  let session, _ = make_session ~cache_size:1 () in
   toggle_all session false;
   ignore (Odin.Session.refresh session);
   toggle_all session true;

@@ -92,8 +92,6 @@ let sample_init =
       in_mod_name = "m";
       in_mod_text = "module text\nwith newline \x00 and nul";
       in_cache_dir = Some "/tmp/x";
-      in_incr_link = Some true;
-      in_incr_sched = None;
       in_promote_share = 0.05;
     }
 
@@ -194,9 +192,8 @@ let test_wire_torn_and_corrupt () =
       Wire.decode_frame (flip frame 10));
   expect_wire_error "trailing garbage" (fun () ->
       Wire.decode_frame (frame ^ "x"));
-  (* v3: tiered compilation joined the protocol (Init threshold,
-     Assign merged profile, ckpt v2) *)
-  Alcotest.(check int) "protocol version pinned" 3 Wire.version;
+  (* v4: Init dropped the incremental link/scheduler mode fields *)
+  Alcotest.(check int) "protocol version pinned" 4 Wire.version;
   Alcotest.(check int) "header length pinned" 14 Wire.header_len
 
 (* ---------------- checkpoint files ------------------------------------- *)

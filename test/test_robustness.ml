@@ -463,8 +463,7 @@ int main(int x) {
 }
 |}
 
-let make_faulty_session ?pool ?cache_dir ?max_retries ?job_timeout
-    ?incremental_link () =
+let make_faulty_session ?pool ?cache_dir ?max_retries ?job_timeout () =
   let m = compile fault_src in
   let reference = Ir.Clone.clone_module m in
   let session =
@@ -473,8 +472,7 @@ let make_faulty_session ?pool ?cache_dir ?max_retries ?job_timeout
        opt.pipeline (the torn tier-swap row lives in test_tier) *)
     Odin.Session.create ~mode:Odin.Partition.Max ~keep:[ "main" ]
       ~runtime_globals:[ Odin.Cov.runtime_global m ]
-      ?pool ?cache_dir ?max_retries ?job_timeout ?incremental_link
-      ~tiered:false m
+      ?pool ?cache_dir ?max_retries ?job_timeout ~tiered:false m
   in
   let _cov = Odin.Cov.setup session in
   (session, reference)
@@ -517,10 +515,8 @@ let expect_to_string = function
 (* One matrix cell: clean build, install the plan, toggle a probe,
    refresh, check the outcome class, the differential invariant, and
    that the session heals back to a clean Ok once the plan is gone. *)
-let run_matrix_case ?cache_dir ?job_timeout ?incremental_link ~plan expected =
-  let session, reference =
-    make_faulty_session ?cache_dir ?job_timeout ?incremental_link ()
-  in
+let run_matrix_case ?cache_dir ?job_timeout ~plan expected =
+  let session, reference = make_faulty_session ?cache_dir ?job_timeout () in
   ignore (Odin.Session.build session);
   check_differential session reference;
   toggle_probe session;
@@ -554,9 +550,7 @@ let run_matrix_case ?cache_dir ?job_timeout ?incremental_link ~plan expected =
    recompiles -> Ok; link.patch corrupts an in-place patch, which the
    incremental linker's verify-after-patch pass must detect and turn
    into a rollback, exactly like a full-link failure); elsewhere a torn
-   rule never fires and the refresh must stay Ok. The link.patch rows
-   pin ~incremental_link:true so they hold under ODIN_INCR_LINK=0 runs
-   of the suite. *)
+   rule never fires and the refresh must stay Ok. *)
 let test_fault_matrix () =
   let store_dir site kind =
     let dir =
@@ -568,25 +562,24 @@ let test_fault_matrix () =
     dir
   in
   let matrix =
-    (* (site, needs_store, force incremental link on,
-       expected for Raise / Transient / Torn) *)
+    (* (site, needs_store, expected for Raise / Transient / Torn) *)
     [
-      ("session.materialize", false, None, EDegraded, EDegraded, EOk);
-      ("opt.pipeline", false, None, EDegraded, EDegraded, EOk);
-      ("codegen.emit", false, None, EDegraded, EDegraded, EOk);
-      ("cache.get", false, None, EOk, EOk, EOk);
-      ("link", false, None, ERolled_back, ERolled_back, EOk);
-      ("link.patch", false, Some true, ERolled_back, ERolled_back, ERolled_back);
-      ("store.read", true, None, EOk, EOk, EOk);
-      ("store.write", true, None, EOk, EOk, EOk);
+      ("session.materialize", false, EDegraded, EDegraded, EOk);
+      ("opt.pipeline", false, EDegraded, EDegraded, EOk);
+      ("codegen.emit", false, EDegraded, EDegraded, EOk);
+      ("cache.get", false, EOk, EOk, EOk);
+      ("link", false, ERolled_back, ERolled_back, EOk);
+      ("link.patch", false, ERolled_back, ERolled_back, ERolled_back);
+      ("store.read", true, EOk, EOk, EOk);
+      ("store.write", true, EOk, EOk, EOk);
     ]
   in
   List.iter
-    (fun (site, needs_store, incremental_link, exp_raise, exp_transient, exp_torn) ->
+    (fun (site, needs_store, exp_raise, exp_transient, exp_torn) ->
       List.iter
         (fun (kind, expected) ->
           let cache_dir = if needs_store then Some (store_dir site kind) else None in
-          run_matrix_case ?cache_dir ?incremental_link
+          run_matrix_case ?cache_dir
             ~plan:(Fault.plan ~seed:1 [ Fault.rule site kind ])
             expected;
           Option.iter Support.Objstore.rm_rf cache_dir)

@@ -1,10 +1,11 @@
-(* The O(changed) refresh path: incremental probe scheduler, Shash
-   optimization memo, and host-symbol slabs.
+(* The O(changed) refresh path: incremental probe scheduler, the
+   object-cache short-circuit before verify, and host-symbol slabs.
 
    Units pin the mechanism down: the manager's dirty-set / by-target
    indexes, the index-driven schedule against the full propagate walk,
-   re-heal feeding the same dirty-set, memo invalidation on
-   [set_opt_rounds], host-slab patching and slab compaction.
+   re-heal feeding the same dirty-set, cache hits skipping verify and
+   their invalidation on [set_opt_rounds], host-slab patching and slab
+   compaction.
 
    The equivalence suite is the tentpole invariant end to end: a
    200-toggle probe storm must produce bit-identical executable images,
@@ -131,13 +132,15 @@ let test_schedule_visits_only_dirty () =
     (counter_value session "session.schedule_visited");
   ignore (Odin.Session.rebuild sched);
   (* the full walk agrees but pays O(program) *)
-  Odin.Session.set_incremental_sched session false;
-  Instr.Manager.set_enabled session.Odin.Session.manager p true;
-  let sched = Odin.Session.schedule session in
-  Alcotest.(check int) "full walk visits every fragment"
-    (n_frags + 1 + n_frags)
-    (counter_value session "session.schedule_visited");
-  ignore (Odin.Session.rebuild sched)
+  let full = mk_session ~sched:false ~pool:Pool.serial () in
+  Instr.Manager.set_enabled full.Odin.Session.manager (first_probe full) false;
+  let full_sched = Odin.Session.schedule full in
+  Alcotest.(check (list int)) "full walk schedules the same fragment"
+    sched.Odin.Session.changed_fragments
+    full_sched.Odin.Session.changed_fragments;
+  Alcotest.(check int) "full walk visits every fragment" (n_frags + n_frags)
+    (counter_value full "session.schedule_visited");
+  ignore (Odin.Session.rebuild full_sched)
 
 let test_schedule_equivalence_direct () =
   (* the two schedulers must produce identical sched values for the
@@ -202,7 +205,16 @@ let test_reheal_via_dirty_set () =
   Alcotest.(check (list int)) "healed" []
     (Odin.Session.degraded_fragments session)
 
-(* ---------------- units: memo ---------------- *)
+(* ---------------- units: object-cache short-circuit ---------------- *)
+
+(* Child span names of the session's most recent fragment compile. *)
+let last_fragment_steps session =
+  let frags =
+    Telemetry.Span.find_all
+      session.Odin.Session.telemetry.Telemetry.Recorder.spans "fragment"
+  in
+  List.map Telemetry.Span.name
+    (Telemetry.Span.children (List.nth frags (List.length frags - 1)))
 
 let test_memo_hits_and_invalidation () =
   let session = mk_session ~sched:true ~pool:Pool.serial () in
@@ -212,29 +224,31 @@ let test_memo_hits_and_invalidation () =
   ignore (Odin.Session.refresh session);
   Instr.Manager.set_enabled session.Odin.Session.manager p true;
   ignore (Odin.Session.refresh session);
-  Alcotest.(check bool) "memo populated" true
-    (Odin.Session.memo_size session > 0);
   let hits0 = counter_value session "session.opt_memo_hits" in
   Instr.Manager.set_enabled session.Odin.Session.manager p false;
   let ev = Option.get (Odin.Session.refresh session) in
-  (* the warm toggle is served by the memo before Opt.Pipeline — and
-     still counts as a cache hit for the recompile event *)
-  Alcotest.(check bool) "memo hit counted" true
-    (counter_value session "session.opt_memo_hits" > hits0);
+  (* the warm toggle is served by the object cache right after the
+     digest — before verify and Opt.Pipeline — and counts as an
+     in-memory hit *)
   Alcotest.(check int) "served as cache hit"
     (List.length ev.Odin.Session.ev_fragments)
     ev.Odin.Session.ev_cache_hits;
-  (* set_opt_rounds drops the memo outright *)
+  Alcotest.(check int) "in-memory hit counted"
+    (hits0 + List.length ev.Odin.Session.ev_fragments)
+    (counter_value session "session.opt_memo_hits");
+  Alcotest.(check bool) "hit skips verify" false
+    (List.mem "verify" (last_fragment_steps session));
+  (* the bound is part of every cache key: the next toggle recompiles *)
   Odin.Session.set_opt_rounds session 3;
-  Alcotest.(check int) "memo reset on set_opt_rounds" 0
-    (Odin.Session.memo_size session);
   let hits1 = counter_value session "session.opt_memo_hits" in
   Instr.Manager.set_enabled session.Odin.Session.manager p true;
   let ev = Option.get (Odin.Session.refresh session) in
-  Alcotest.(check int) "no memo hit after invalidation" hits1
+  Alcotest.(check int) "no hit after invalidation" hits1
     (counter_value session "session.opt_memo_hits");
   Alcotest.(check int) "recompiled under the new bound" 0
-    ev.Odin.Session.ev_cache_hits
+    ev.Odin.Session.ev_cache_hits;
+  Alcotest.(check bool) "a miss verifies" true
+    (List.mem "verify" (last_fragment_steps session))
 
 (* ---------------- units: host-symbol slabs ---------------- *)
 
@@ -442,13 +456,11 @@ let run_storm ~rounds ~pool =
     states := (observe inc, observe full) :: !states
   done;
   (* the storm must actually exercise the incremental machinery *)
-  Alcotest.(check bool) "memo used" true
+  Alcotest.(check bool) "cache used" true
     (counter_value inc "session.opt_memo_hits" > 0);
   Alcotest.(check bool) "incremental walk visited less" true
     (counter_value inc "session.schedule_visited"
     < counter_value full "session.schedule_visited");
-  Alcotest.(check int) "full session never memo-hits" 0
-    (counter_value full "session.opt_memo_hits");
   List.rev !states
 
 let test_storm_equivalence () =

@@ -38,12 +38,12 @@ int main(int x) { return f4(x) + f2(x + 5); }
 
 (* Max partition: one fragment per function, so promotions are
    per-function and the schedule is genuinely multi-fragment. *)
-let make_session ?tiered ?incremental_link () =
+let make_session ?tiered () =
   let m = Minic.Lower.compile target_src in
   let session =
     Odin.Session.create ~mode:Odin.Partition.Max ~keep:[ "main" ]
       ~runtime_globals:[ Odin.Cov.runtime_global m ]
-      ?tiered ?incremental_link m
+      ?tiered m
   in
   ignore (Odin.Cov.setup session);
   ignore (Odin.Session.build session);
@@ -231,7 +231,7 @@ let test_osr_refused_after_full_link () =
     (Odin.Session.tier_stats s).Odin.Session.ts_osr_migrations
 
 let test_osr_migrate_equals_restart () =
-  let s = make_session ~tiered:true ~incremental_link:true () in
+  let s = make_session ~tiered:true () in
   let old_exe = Odin.Session.executable s in
   let vm = Vm.create old_exe in
   (* a genuinely in-progress execution: globals already mutated *)
@@ -352,7 +352,7 @@ let test_env_tier_equivalence_storm () =
 (* ---------------- fault matrix: torn tier-swap patch ---------------- *)
 
 let test_torn_tier_swap_rolls_back () =
-  let s = make_session ~tiered:true ~incremental_link:true () in
+  let s = make_session ~tiered:true () in
   let before_trace = trace s in
   let before_fp = fingerprint s in
   let fids = all_fids s in
