@@ -428,16 +428,6 @@ let fuzz_cmd =
              The current interval is reported in the time report and \
              journal.")
   in
-  let vote_decay =
-    Arg.(
-      value & opt float 1.0
-      & info [ "vote-decay" ] ~docv:"F"
-          ~doc:
-            "Multiply a worker's prune-vote weight by F each time its \
-             process is killed and restarted (with --farm-mode procs): \
-             evidence from a crash-looping worker counts for less toward \
-             the prune quorum. 1.0 (default) keeps exact integer quorums.")
-  in
   let promote_share =
     Arg.(
       value & opt float 0.0
@@ -455,7 +445,7 @@ let fuzz_cmd =
   (* ------------- farm mode (--workers N) ------------- *)
   let run_farm ~r ~pool ~m ~entry ~execs ~no_prune ~workers ~sync_interval
       ~prune_quorum ~cache_limit ~cache_dir ~journal ~farm_mode ~checkpoint
-      ~resume ~worker_timeout ~adaptive_sync ~vote_decay ~promote_share =
+      ~resume ~worker_timeout ~adaptive_sync ~promote_share =
     let cfg =
       {
         Farm.default_config with
@@ -464,7 +454,6 @@ let fuzz_cmd =
         fc_sync_interval = sync_interval;
         fc_prune_quorum = (if no_prune then 0 else prune_quorum);
         fc_cache_limit = cache_limit;
-        fc_vote_decay = vote_decay;
         fc_adaptive_sync = adaptive_sync;
         fc_promote_share = promote_share;
       }
@@ -582,8 +571,8 @@ let fuzz_cmd =
   in
   let run file entry execs no_prune jobs metrics_csv span_limit cache_dir
       workers sync_interval prune_quorum cache_limit journal farm_mode
-      checkpoint resume worker_timeout adaptive_sync vote_decay
-      promote_share fault_plan time_report trace_out =
+      checkpoint resume worker_timeout adaptive_sync promote_share fault_plan
+      time_report trace_out =
     install_faults fault_plan;
     with_diagnostics @@ fun () ->
     let r = Telemetry.Recorder.create ?span_limit () in
@@ -604,7 +593,7 @@ let fuzz_cmd =
     | Some n ->
       run_farm ~r ~pool ~m ~entry ~execs ~no_prune ~workers:n ~sync_interval
         ~prune_quorum ~cache_limit ~cache_dir ~journal ~farm_mode ~checkpoint
-        ~resume ~worker_timeout ~adaptive_sync ~vote_decay ~promote_share;
+        ~resume ~worker_timeout ~adaptive_sync ~promote_share;
       (match metrics_csv with
       | Some path -> (
         try
@@ -775,7 +764,7 @@ let fuzz_cmd =
       const run $ file $ entry $ execs $ no_prune $ jobs $ metrics_csv
       $ span_limit $ cache_dir $ workers $ sync_interval $ prune_quorum
       $ cache_limit $ journal $ farm_mode $ checkpoint $ resume
-      $ worker_timeout $ adaptive_sync $ vote_decay $ promote_share
+      $ worker_timeout $ adaptive_sync $ promote_share
       $ fault_plan_arg $ time_report_arg $ trace_out_arg)
 
 (* ---------------- bench-diff ---------------- *)

@@ -1,21 +1,24 @@
 (** Fuzzing farm: N concurrent campaign workers over one target, each
     with its own deterministic RNG stream, corpus shard and Odin
-    session, sharing one content-addressed object cache. Workers
-    rendezvous at sync barriers: deduplicating corpus exchange
-    ({!Csync}), global coverage merge, and globally-voted probe pruning
-    ({!Instr.Votes}). Deterministic for a fixed (seed, sync-interval)
+    session. Workers rendezvous at sync barriers: deduplicating corpus
+    exchange ({!Csync}), global coverage merge, and globally-voted
+    probe pruning ({!Instr.Votes}). One campaign loop runs the rounds,
+    barriers, journal and checkpoints over two executors: {!run} keeps
+    the workers in-process on the domain pool, sharing one
+    content-addressed object cache; {!Proc.run} runs them as supervised
+    worker processes. Deterministic for a fixed (seed, sync-interval)
     pair; the logical results (coverage, pruned set, corpus) are
     worker-count invariant by construction — and substrate invariant:
-    this domains driver and the process-isolated driver ({!Proc})
-    share one orchestration core ({!Orch}) and produce bit-identical
-    campaigns. *)
+    both executors share the loop and the orchestration core ({!Orch})
+    and produce bit-identical campaigns. *)
 
 (** The corpus-sync protocol, re-exported: [farm.ml] is the library's
     interface module, so this is the public path to {!Csync}. *)
 module Csync = Csync
 
-(** The shared orchestration core (slot execution, barrier merge,
-    weighted votes, adaptive intervals, checkpoints). *)
+(** The shared orchestration core (slot execution, probe-state
+    application, barrier merge, votes, adaptive intervals,
+    checkpoints). *)
 module Orch = Orch
 
 (** The supervisor/worker wire protocol and the checkpoint file
@@ -26,8 +29,8 @@ module Wire = Wire
     shutdown), shared by {!Proc} and the mutation campaign. *)
 module Supervise = Supervise
 
-(** The process-isolated driver: supervisor, preemptive watchdog,
-    kill/restart, checkpoint/resume. *)
+(** The process executor: supervised worker processes, preemptive
+    watchdog, kill/restart. *)
 module Proc = Proc
 
 type config = Orch.config = {
@@ -39,11 +42,7 @@ type config = Orch.config = {
       (** fired-execution votes required to prune a probe globally;
           <= 0 disables pruning. 1 = Untracer policy, globally. *)
   fc_cache_limit : int option;  (** store GC size bound (bytes), per barrier *)
-  fc_cache_age : float option;  (** store GC age bound (seconds), per barrier *)
   fc_mode : Odin.Partition.mode;
-  fc_vote_decay : float;
-      (** vote-weight multiplier per kill/restart ({!Proc}); 1.0
-          (default) keeps exact integer quorums *)
   fc_adaptive_sync : bool;
       (** scale the sync interval up on quiet barriers, reset on new
           coverage (off by default) *)
@@ -53,29 +52,15 @@ type config = Orch.config = {
 }
 
 (** 1 worker, 400 execs, sync every 100, seed 42, quorum 1, no GC,
-    vote decay 1.0, fixed interval. *)
+    fixed interval, untiered. *)
 val default_config : config
 
-type worker = {
-  wk_id : int;
-  wk_session : Odin.Session.t;
-  wk_cov : Odin.Cov.t;
-  wk_probes : (int, Instr.Probe.t) Hashtbl.t;
-  wk_corpus : Fuzzer.Corpus.t;
-  wk_recorder : Telemetry.Recorder.t;
-  mutable wk_execs : int;
-  mutable wk_cycles : int;
-  mutable wk_skipped : int;
-  mutable wk_crashes : int;
-  mutable wk_recompiles : int;
-  mutable wk_dead : string option;
-}
-
 (** Cumulative cost attribution for one probe site across the campaign:
-    instrumentation toggles (enable/disable flips + removal), merged
-    executions run while the probe was globally armed, and the VM's
-    per-site increment hits/cycles (merged in slot order — worker-count
-    invariant like every other farm result). *)
+    instrumentation toggles (1 once the probe is pruned — its removal,
+    the only toggle a farm makes), merged executions run while the
+    probe was globally armed, and the VM's per-site increment
+    hits/cycles (merged in slot order — worker-count invariant like
+    every other farm result). *)
 type probe_cost = Orch.probe_cost = {
   pc_pid : int;
   pc_toggles : int;
@@ -133,7 +118,9 @@ val dedup_rate : stats -> float
     [checkpoint_path] publishes an {!Orch.ckpt} atomically at every
     barrier ({!Wire.write_checkpoint}); [resume] continues a campaign
     from a loaded checkpoint (same target module and seed required),
-    reaching the same final state as an uninterrupted run. *)
+    reaching the same final state as an uninterrupted run. A round in
+    which the last worker dies has no barrier: nothing of it is merged
+    and no checkpoint is published for it. *)
 val run :
   ?telemetry:Telemetry.Recorder.t ->
   ?pool:Support.Pool.t ->

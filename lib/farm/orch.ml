@@ -1,22 +1,23 @@
-(** Shared orchestration core for the farm's two drivers.
+(** The orchestration core of the fuzzing farm.
 
-    The fuzzing farm has one logical algorithm — deterministic
-    execution slots, barrier merges through {!Csync}, globally-voted
-    probe pruning, corpus broadcast — and two execution substrates:
-    OCaml domains in one process ({!Farm.run}) and supervised worker
-    processes over the wire protocol ({!Proc.run}). Everything that
-    decides {e results} lives here, so the two drivers cannot drift:
+    The farm has one logical algorithm — deterministic execution slots,
+    barrier merges through {!Csync}, globally-voted probe pruning,
+    corpus broadcast — run by one campaign loop ({!Loop}) over two
+    executors: OCaml domains in one process ({!Farm.run}) and supervised
+    worker processes over the wire protocol ({!Proc.run}). Everything
+    that decides {e results} lives here — slot execution, the barrier
+    merge, how a session takes the campaign's probe state — so
     bit-identical coverage/corpus/cycles across [--farm-mode
     domains|procs] is a structural property, not a testing accident.
 
     This module also owns the campaign checkpoint: a {!ckpt} value is a
     complete snapshot of the merge state (coverage bitmap, seen-input
-    digests, weighted votes, pruned set, corpus with energies, RNG
-    cursor = the next slot index, adaptive-interval state), and
-    {!restore} rebuilds an equivalent orchestrator so a resumed
-    campaign replays to the same final state as an uninterrupted one.
-    Slot RNGs are derived statelessly from [(seed, slot index)], so the
-    only "RNG cursor" a checkpoint needs is the slot counter itself. *)
+    digests, votes, pruned set, corpus with energies, RNG cursor = the
+    next slot index, adaptive-interval state), and {!restore} rebuilds
+    an equivalent orchestrator so a resumed campaign replays to the
+    same final state as an uninterrupted one. Slot RNGs are derived
+    statelessly from [(seed, slot index)], so the only "RNG cursor" a
+    checkpoint needs is the slot counter itself. *)
 
 module Json = Telemetry.Json
 
@@ -29,12 +30,7 @@ type config = {
       (** fired-execution votes required to prune a probe globally;
           <= 0 disables pruning. 1 = Untracer policy, globally. *)
   fc_cache_limit : int option;  (** store GC size bound (bytes), per barrier *)
-  fc_cache_age : float option;  (** store GC age bound (seconds), per barrier *)
   fc_mode : Odin.Partition.mode;
-  fc_vote_decay : float;
-      (** multiplier applied to a worker's vote weight each time its
-          process is killed and restarted mid-round; 1.0 (default)
-          keeps the historical exact-integer quorums *)
   fc_adaptive_sync : bool;
       (** scale the sync interval up on quiet barriers, reset on new
           coverage (off by default: a fixed interval is what the
@@ -58,9 +54,7 @@ let default_config =
     fc_seed = 42;
     fc_prune_quorum = 1;
     fc_cache_limit = None;
-    fc_cache_age = None;
     fc_mode = Odin.Partition.Auto;
-    fc_vote_decay = 1.0;
     fc_adaptive_sync = false;
     fc_promote_share = 0.0;
   }
@@ -73,7 +67,7 @@ let default_config =
     per-site increment attribution, merged in slot order. *)
 type probe_cost = {
   pc_pid : int;
-  pc_toggles : int;  (** enable/disable flips + removal ({!Instr.Manager}) *)
+  pc_toggles : int;  (** 1 once pruned: its removal, a farm's only toggle *)
   pc_execs_armed : int;
   pc_hits : int;  (** counter increments executed *)
   pc_cycles : int;  (** VM cycles spent in the increment sequence *)
@@ -147,8 +141,8 @@ type t = {
   mutable o_interval : int;  (** current sync interval (adaptive) *)
   mutable o_quiet : int;  (** consecutive accept-free barriers *)
   mutable o_gc_evicted : int;
-  (* cumulative bases restored from a checkpoint; drivers add their
-     live counts on top when assembling stats *)
+  (* campaign-cumulative: restored from a checkpoint, then advanced by
+     the executor as its workers report *)
   mutable o_skipped : int;
   mutable o_crashes : int;
   mutable o_recompiles : int;
@@ -180,8 +174,6 @@ let create ~n_probes (cfg : config) =
     o_recompiles = 0;
     o_restarts = 0;
   }
-
-let pruned t pid = Hashtbl.mem t.o_pruned pid
 
 (** The barrier-merged global per-function cycle profile, heaviest
     first (ties by name) — the same shape as {!Vm.profile_top}, and the
@@ -218,8 +210,7 @@ let replay_corpus corpus entries =
     the round-start shard state, which is a global replica): which
     worker — domain or process — runs it is irrelevant to the result.
     Slots below the seed count replay the seed inputs themselves. *)
-let exec_slot ~seed ~entry ~host ~seeds ~default_input ~session ~total_probes
-    ~corpus idx =
+let exec_slot ~seed ~entry ~host ~seeds ~session ~total_probes ~corpus idx =
   let n_seeds = List.length seeds in
   let rng = Support.Rng.create ((seed * 1_000_003) + idx) in
   let input =
@@ -228,7 +219,7 @@ let exec_slot ~seed ~entry ~host ~seeds ~default_input ~session ~total_probes
       let base_in =
         match Fuzzer.Corpus.pick corpus rng with
         | Some s -> s.Fuzzer.Corpus.data
-        | None -> default_input
+        | None -> ( match seeds with s :: _ -> s | [] -> "\x00")
       in
       Fuzzer.Mutate.havoc rng ~pool:(Fuzzer.Corpus.inputs corpus) base_in
   in
@@ -258,21 +249,74 @@ let exec_slot ~seed ~entry ~host ~seeds ~default_input ~session ~total_probes
     it_probe_cost = Odin.Cov.probe_costs ~total:total_probes vm;
   }
 
+type losses = { mutable skipped : int; mutable crashes : int }
+
+(** Run one worker's share of a round: slots [idxs] in order through
+    [exec] (an {!exec_slot} closure), returning the items in slot
+    order. A transient fault skips its slot and a guest trap
+    ([Vm.Fault]) loses it; both are counted into [lost] as they
+    happen, so a lane that dies mid-share — any other exception, which
+    propagates — keeps the counts it reached. [each n] runs after the
+    [n]th slot, whatever its outcome. *)
+let run_slots ?(each = ignore) lost exec idxs =
+  let items = ref [] in
+  List.iteri
+    (fun k idx ->
+      (match exec idx with
+      | item -> items := item :: !items
+      | exception Support.Fault.Transient_fault _ -> lost.skipped <- lost.skipped + 1
+      | exception Vm.Fault _ -> lost.crashes <- lost.crashes + 1);
+      each (k + 1))
+    idxs;
+  List.rev !items
+
+(** Bring one worker's session to the campaign's probe state: remove
+    every probe of [pruned] still in [probes] (the pid table built at
+    setup, which forgets what it removes), queue the tier promotions
+    the merged [profile] implies at threshold [share], and refresh if
+    either changed something or a fragment is still degraded. Returns
+    the promotions queued and whether a refresh landed. The domains
+    barrier, a domains resume and a worker process's [Assign] all go
+    through here, so sessions cannot disagree on how state is taken. *)
+let apply_state ~share session probes ~pruned ~profile =
+  let removed =
+    List.filter
+      (fun pid ->
+        match Hashtbl.find_opt probes pid with
+        | Some p ->
+          Instr.Manager.remove session.Odin.Session.manager p;
+          Hashtbl.remove probes pid;
+          true
+        | None -> false)
+      pruned
+  in
+  (* promote_hot is idempotent and [] for an untiered session: a
+     long-lived session queues only what is new, a fresh one catches
+     up on the cumulative set at once *)
+  let promoted = Odin.Session.promote_hot ~threshold:share session profile in
+  let refreshed =
+    (removed <> [] || promoted <> []
+    || Odin.Session.degraded_fragments session <> [])
+    &&
+    match Odin.Session.try_refresh session with
+    | Some (Odin.Session.Ok | Odin.Session.Degraded _) -> true
+    | Some (Odin.Session.Rolled_back _) | None -> false
+  in
+  (promoted, refreshed)
+
 (* ------------------------------------------------------------------ *)
 (* The barrier merge                                                   *)
 (* ------------------------------------------------------------------ *)
 
 (** Merge one barrier's worth of [items] (callers pass them sorted by
-    slot index, dead lanes already excluded). [weight] maps an item to
-    the vote weight of the worker that produced it (default 1.0; the
-    process supervisor discounts items from killed-and-restarted
-    workers). Returns the accepted entries (broadcast order, energies
-    computed against the pre-round farm-wide average exec cost) and
-    the probes newly saturated to the prune quorum. Also advances the
-    adaptive sync interval when enabled: [adaptive_quiet_rounds]
-    consecutive accept-free barriers double it (capped at
-    [adaptive_max_scale]×base), any accepted input resets it. *)
-let merge_round ?(weight = fun (_ : Csync.item) -> 1.0) t items =
+    slot index, dead lanes already excluded). Returns the accepted
+    entries (broadcast order, energies computed against the pre-round
+    farm-wide average exec cost) and the probes newly saturated to the
+    prune quorum. Also advances the adaptive sync interval when
+    enabled: [adaptive_quiet_rounds] consecutive accept-free barriers
+    double it (capped at [adaptive_max_scale]×base), any accepted input
+    resets it. *)
+let merge_round t items =
   t.o_rounds <- t.o_rounds + 1;
   (* energy is computed against the farm-wide average exec cost from
      all previous rounds — worker-count invariant by construction *)
@@ -317,11 +361,8 @@ let merge_round ?(weight = fun (_ : Csync.item) -> 1.0) t items =
           | Some c -> c := !c + cy
           | None -> Hashtbl.replace t.o_fn_cycles fn (ref cy))
         it.Csync.it_fns;
-      (* one (weighted) vote per (probe, execution) toward saturation *)
-      let w = weight it in
-      List.iter
-        (fun pid -> Instr.Votes.record ~weight:w t.o_votes ~pid)
-        it.Csync.it_fired)
+      (* one vote per (probe, execution) toward saturation *)
+      List.iter (fun pid -> Instr.Votes.record t.o_votes ~pid) it.Csync.it_fired)
     items;
   let broadcast =
     List.map
@@ -342,8 +383,8 @@ let merge_round ?(weight = fun (_ : Csync.item) -> 1.0) t items =
         ce)
       accepted
   in
-  (* global prune decision; the drivers apply it identically to every
-     surviving lane *)
+  (* global prune decision; every surviving lane takes it through
+     apply_state *)
   let prunes =
     Instr.Votes.saturated t.o_votes ~quorum:t.o_quorum
       ~already:(Hashtbl.mem t.o_pruned)
@@ -364,11 +405,11 @@ let merge_round ?(weight = fun (_ : Csync.item) -> 1.0) t items =
     end;
   (broadcast, prunes)
 
-(** Per-probe cost roll-up over every probe id, ascending. [toggles]
-    supplies the instrumentation-toggle count per probe (a live
-    manager in domains mode; derived from the pruned set — the only
-    toggle source in a farm campaign — by the process supervisor). *)
-let probe_costs t ~toggles =
+(** Per-probe cost roll-up over every probe id, ascending. A farm
+    campaign's only instrumentation toggle is the removal of a pruned
+    probe, applied identically in every worker, so the toggle count is
+    read off the pruned set. *)
+let probe_costs t =
   List.init t.o_n_probes (fun pid ->
       let hits, cycles =
         match Hashtbl.find_opt t.o_hits_cycles pid with
@@ -377,7 +418,7 @@ let probe_costs t ~toggles =
       in
       {
         pc_pid = pid;
-        pc_toggles = toggles pid;
+        pc_toggles = (if Hashtbl.mem t.o_pruned pid then 1 else 0);
         pc_execs_armed =
           Option.value ~default:0 (Hashtbl.find_opt t.o_execs_armed pid);
         pc_hits = hits;
@@ -390,8 +431,9 @@ let probe_costs t ~toggles =
 
 (** Bumped whenever the checkpoint payload changes shape; {!Wire}
     rejects mismatches cleanly. v2: the barrier-merged per-function
-    cycle profile joined the payload (tier promotions resume from it). *)
-let ckpt_version = 2
+    cycle profile joined the payload (tier promotions resume from it).
+    v3: votes are integers and the per-worker vote weights are gone. *)
+let ckpt_version = 3
 
 (** A complete, self-contained snapshot of a campaign at a sync
     barrier. [ck_next] is the mutation-budget cursor (slot RNGs are
@@ -412,7 +454,7 @@ type ckpt = {
   ck_accepted : int;
   ck_duplicates : int;
   ck_stale : int;
-  ck_votes : (int * float) list;
+  ck_votes : (int * int) list;
   ck_pruned : int list;
   ck_corpus : centry list;  (** acceptance order *)
   ck_execs : int;
@@ -428,15 +470,11 @@ type ckpt = {
   ck_recompiles : int;
   ck_restarts : int;
   ck_gc_evicted : int;
-  ck_weights : (int * float) list;  (** per-worker vote weights *)
 }
 
-(** Snapshot the orchestrator. [skipped]/[crashes]/[recompiles] are the
-    campaign-cumulative totals (base + the driver's live counts);
-    [weights] the per-worker vote weights (procs mode; empty for
-    domains). *)
-let snapshot t ~digest ~workers ~round ~next ~skipped ~crashes ~recompiles
-    ~restarts ~weights =
+(** Snapshot the orchestrator after barrier [round], with the budget
+    cursor at [next]. *)
+let snapshot t ~digest ~workers ~round ~next =
   {
     ck_version = ckpt_version;
     ck_digest = digest;
@@ -469,12 +507,11 @@ let snapshot t ~digest ~workers ~round ~next ~skipped ~crashes ~recompiles
     ck_fn_cycles = fn_profile t;
     ck_interval = t.o_interval;
     ck_quiet = t.o_quiet;
-    ck_skipped = skipped;
-    ck_crashes = crashes;
-    ck_recompiles = recompiles;
-    ck_restarts = restarts;
+    ck_skipped = t.o_skipped;
+    ck_crashes = t.o_crashes;
+    ck_recompiles = t.o_recompiles;
+    ck_restarts = t.o_restarts;
     ck_gc_evicted = t.o_gc_evicted;
-    ck_weights = weights;
   }
 
 (** Rebuild an orchestrator from a checkpoint. The caller's [cfg]
@@ -521,7 +558,7 @@ let restore (cfg : config) ck =
 let module_digest m = Digest.to_hex (Digest.string (Ir.Print.module_to_string m))
 
 (* ------------------------------------------------------------------ *)
-(* Journal events (shared so the two drivers' journals cannot drift)   *)
+(* Journal events, recorded by the campaign loop                       *)
 (* ------------------------------------------------------------------ *)
 
 let record_sync_event j t ~round ~merged ~accepted ~pruned =
@@ -583,7 +620,7 @@ let record_probe_cost_events j probe_costs =
         ])
     probe_costs
 
-let record_done_event j t ~workers ~cross_hits ~crashes =
+let record_done_event j t ~workers ~cross_hits =
   Telemetry.Journal.record j ~kind:"farm.done"
     [
       ("workers", Json.Int workers);
@@ -594,13 +631,12 @@ let record_done_event j t ~workers ~cross_hits ~crashes =
       ("pruned", Json.Int (Hashtbl.length t.o_pruned));
       ("exchanged", Json.Int t.o_sync.Csync.accepted);
       ("cross_hits", Json.Int cross_hits);
-      ("crashes", Json.Int crashes);
+      ("crashes", Json.Int t.o_crashes);
     ]
 
-(** Assemble the public stats record from the orchestrator's merge
-    state plus the driver's substrate-specific counts. *)
-let mk_stats t ~workers ~cross_hits ~skipped ~crashes ~recompiles ~dead ~store
-    ~probe_cost =
+(** Assemble the public stats record from the orchestrator's state
+    plus what only the executor knows. *)
+let mk_stats t ~workers ~cross_hits ~dead ~store =
   {
     fs_workers = workers;
     fs_execs = t.o_execs;
@@ -615,11 +651,11 @@ let mk_stats t ~workers ~cross_hits ~skipped ~crashes ~recompiles ~dead ~store
     fs_pruned = pruned_list t;
     fs_corpus = List.map (fun ce -> ce.ce_input) (corpus_entries t);
     fs_cross_hits = cross_hits;
-    fs_recompiles = recompiles;
-    fs_skipped = skipped;
-    fs_crashes = crashes;
+    fs_recompiles = t.o_recompiles;
+    fs_skipped = t.o_skipped;
+    fs_crashes = t.o_crashes;
     fs_dead = dead;
     fs_gc_evicted = t.o_gc_evicted;
     fs_store = store;
-    fs_probe_cost = probe_cost;
+    fs_probe_cost = probe_costs t;
   }

@@ -1,8 +1,10 @@
-(** Shared orchestration core for the farm's two drivers (domains and
-    processes): everything that decides campaign {e results} — slot
-    execution, barrier merges, weighted prune votes, corpus broadcast,
-    adaptive sync intervals, checkpoints — so bit-identity across
-    [--farm-mode domains|procs] is structural rather than tested-for. *)
+(** The orchestration core of the fuzzing farm, shared by the campaign
+    loop ({!Loop}) and both of its executors (domains and processes):
+    everything that decides campaign {e results} — slot execution, how
+    a session takes the campaign's probe state, barrier merges, prune
+    votes, corpus broadcast, adaptive sync intervals, checkpoints — so
+    bit-identity across [--farm-mode domains|procs] is structural
+    rather than tested-for. *)
 
 type config = {
   fc_workers : int;
@@ -13,12 +15,7 @@ type config = {
       (** fired-execution votes required to prune a probe globally;
           <= 0 disables pruning. 1 = Untracer policy, globally. *)
   fc_cache_limit : int option;  (** store GC size bound (bytes), per barrier *)
-  fc_cache_age : float option;  (** store GC age bound (seconds), per barrier *)
   fc_mode : Odin.Partition.mode;
-  fc_vote_decay : float;
-      (** multiplier applied to a worker's vote weight each time its
-          process is killed and restarted mid-round; 1.0 (default)
-          keeps the historical exact-integer quorums *)
   fc_adaptive_sync : bool;
       (** scale the sync interval up on quiet barriers, reset on new
           coverage (off by default: a fixed interval is what the
@@ -40,7 +37,7 @@ val default_config : config
     campaign. *)
 type probe_cost = {
   pc_pid : int;
-  pc_toggles : int;  (** enable/disable flips + removal ({!Instr.Manager}) *)
+  pc_toggles : int;  (** 1 once pruned: its removal, a farm's only toggle *)
   pc_execs_armed : int;  (** merged executions while globally armed *)
   pc_hits : int;  (** counter increments executed *)
   pc_cycles : int;  (** VM cycles spent in the increment sequence *)
@@ -106,14 +103,13 @@ type t = {
   mutable o_interval : int;  (** current sync interval (adaptive) *)
   mutable o_quiet : int;  (** consecutive accept-free barriers *)
   mutable o_gc_evicted : int;
-  mutable o_skipped : int;  (** cumulative bases restored from a checkpoint; *)
-  mutable o_crashes : int;  (** drivers add their live counts on top *)
+  mutable o_skipped : int;  (** campaign-cumulative: restored from a *)
+  mutable o_crashes : int;  (** checkpoint, then advanced by the executor *)
   mutable o_recompiles : int;
   mutable o_restarts : int;
 }
 
 val create : n_probes:int -> config -> t
-val pruned : t -> int -> bool
 val pruned_list : t -> int list
 
 (** The barrier-merged global per-function cycle profile, heaviest
@@ -137,24 +133,43 @@ val exec_slot :
   entry:string ->
   host:string list ->
   seeds:string list ->
-  default_input:string ->
   session:Odin.Session.t ->
   total_probes:int ->
   corpus:Fuzzer.Corpus.t ->
   int ->
   Csync.item
 
-(** Merge one barrier's worth of items (sorted by slot index, dead
-    lanes excluded). [weight] maps an item to the producing worker's
-    vote weight (default 1.0). Returns the accepted entries (broadcast
-    order) and the probes newly saturated to the prune quorum; advances
-    the adaptive interval when enabled. *)
-val merge_round :
-  ?weight:(Csync.item -> float) -> t -> Csync.item list -> centry list * int list
+(** Slots a worker ran without producing an item. *)
+type losses = { mutable skipped : int; mutable crashes : int }
 
-(** Per-probe cost roll-up over every probe id, ascending; [toggles]
-    supplies the instrumentation-toggle count per probe. *)
-val probe_costs : t -> toggles:(int -> int) -> probe_cost list
+(** Run one worker's share of a round through an {!exec_slot} closure,
+    returning the items in slot order. Transient faults (skipped) and
+    guest traps (crashes) are counted into the {!losses} as they
+    happen; any other exception propagates — the lane died, and keeps
+    the counts it reached. [each n] runs after the [n]th slot. *)
+val run_slots :
+  ?each:(int -> unit) -> losses -> (int -> Csync.item) -> int list -> Csync.item list
+
+(** Bring a worker's session to the campaign's probe state: remove the
+    [pruned] probes still in the pid table (which forgets them), queue
+    the promotions the merged [profile] implies at threshold [share],
+    and refresh if either changed something or a fragment is degraded.
+    Returns the promotions queued and whether a refresh landed. The
+    one path for the domains barrier and resume and for a worker
+    process's [Assign]. *)
+val apply_state :
+  share:float ->
+  Odin.Session.t ->
+  (int, Instr.Probe.t) Hashtbl.t ->
+  pruned:int list ->
+  profile:(string * int) list ->
+  int list * bool
+
+(** Merge one barrier's worth of items (sorted by slot index, dead
+    lanes excluded). Returns the accepted entries (broadcast order) and
+    the probes newly saturated to the prune quorum; advances the
+    adaptive interval when enabled. *)
+val merge_round : t -> Csync.item list -> centry list * int list
 
 (** Bumped whenever the checkpoint payload changes shape; {!Wire}
     rejects mismatches cleanly. *)
@@ -179,7 +194,7 @@ type ckpt = {
   ck_accepted : int;
   ck_duplicates : int;
   ck_stale : int;
-  ck_votes : (int * float) list;
+  ck_votes : (int * int) list;
   ck_pruned : int list;
   ck_corpus : centry list;  (** acceptance order *)
   ck_execs : int;
@@ -195,22 +210,11 @@ type ckpt = {
   ck_recompiles : int;
   ck_restarts : int;
   ck_gc_evicted : int;
-  ck_weights : (int * float) list;  (** per-worker vote weights *)
 }
 
-(** Snapshot the orchestrator with campaign-cumulative driver counts. *)
-val snapshot :
-  t ->
-  digest:string ->
-  workers:int ->
-  round:int ->
-  next:int ->
-  skipped:int ->
-  crashes:int ->
-  recompiles:int ->
-  restarts:int ->
-  weights:(int * float) list ->
-  ckpt
+(** Snapshot the orchestrator after barrier [round], with the budget
+    cursor at [next]. *)
+val snapshot : t -> digest:string -> workers:int -> round:int -> next:int -> ckpt
 
 (** Rebuild an orchestrator from a checkpoint; [cfg] supplies the knobs
     a checkpoint does not pin (quorum, adaptivity, GC bounds). *)
@@ -236,18 +240,14 @@ val record_counters_event :
 val record_probe_cost_events : Telemetry.Journal.t -> probe_cost list -> unit
 
 val record_done_event :
-  Telemetry.Journal.t -> t -> workers:int -> cross_hits:int -> crashes:int -> unit
+  Telemetry.Journal.t -> t -> workers:int -> cross_hits:int -> unit
 
-(** Assemble the public stats record from the orchestrator's merge
-    state plus the driver's substrate-specific counts. *)
+(** Assemble the public stats record from the orchestrator's state
+    plus what only the executor knows. *)
 val mk_stats :
   t ->
   workers:int ->
   cross_hits:int ->
-  skipped:int ->
-  crashes:int ->
-  recompiles:int ->
   dead:(int * string) list ->
   store:Support.Objstore.stats option ->
-  probe_cost:probe_cost list ->
   stats

@@ -1,27 +1,33 @@
-(** Process-isolated fuzzing farm: a supervisor and N worker processes
-    exchanging {!Wire} frames over pipes.
+(** Process-isolated fuzzing farm: the campaign loop's process executor.
 
-    The domains driver ({!Farm.run}) shares one OCaml heap: a wedged or
-    segfaulting worker — exactly what a fuzzer is built to provoke —
+    The domains executor ({!Farm.run}) shares one OCaml heap: a wedged
+    or segfaulting worker — exactly what a fuzzer is built to provoke —
     takes the campaign with it, and the cooperative [with_deadline]
     watchdog cannot preempt a worker stuck in a non-yielding loop. Here
     each worker is a separate process ([odinc fuzz-worker]) running one
-    round's slot schedule at a time; the supervisor owns all campaign
-    state ({!Orch.t}) and can always [SIGKILL] a stuck worker.
+    round's slot schedule at a time, and the supervisor can always
+    [SIGKILL] a stuck one. Rounds, barriers, journal, checkpoints and
+    stats are the campaign loop's ({!Loop}), shared with the domains
+    executor; this module supplies only who runs a round's shares —
+    worker processes, through {!Supervise.round} — and the
+    Init/Assign/Items frames.
 
     {2 Stateless workers, deterministic restarts}
 
     Every [Assign] frame carries the worker's complete round context:
     the full global-corpus replica (with energies), the full pruned
-    set, and the slot list. A worker rebuilds its shard from scratch
-    each round, so a killed worker is restarted by re-sending the very
-    same frame — the partial results of the killed attempt are
-    discarded and the re-run reproduces them bit-identically (slots are
-    pure functions of [(seed, slot, round-start replica)]). Coverage,
-    corpus and cycles are therefore invariant across worker counts,
-    across [--farm-mode domains|procs], and across any kill/restart
-    schedule — the property the kill matrix in [test_proc.ml] pins
-    down.
+    set, the merged profile, and the slot list. A worker rebuilds its
+    shard from scratch each round and takes the probe state through
+    {!Orch.apply_state}, so barrier effects need no delivery of their
+    own, and a killed worker is restarted by re-sending the very same
+    frame — the partial results of the killed attempt are discarded and
+    the re-run reproduces them bit-identically (slots are pure
+    functions of [(seed, slot, round-start replica)]). Its votes are
+    therefore the same evidence an unkilled worker would cast, and
+    count the same. Coverage, corpus and cycles are invariant across
+    worker counts, across [--farm-mode domains|procs], and across any
+    kill/restart schedule — the property the kill matrix in
+    [test_proc.ml] pins down.
 
     {2 Supervision}
 
@@ -29,32 +35,17 @@
     heartbeat watchdog, restart with re-send, retirement after
     [max_restarts] with orphaned assignments moved to the lowest-id
     live worker, shutdown — is {!Supervise}, shared with the mutation
-    campaign; this module owns only the Init/Assign/Items frames.
-    Workers send a [Heartbeat] frame after applying round state and
-    after every completed slot. Each restart multiplies the worker's
-    vote weight by [fc_vote_decay] (weighted quorums: evidence from a
-    crash looping worker counts for less; 1.0 keeps exact integer
-    quorums). When every worker has retired, the campaign ends with
-    the barriers merged so far. Fault sites: ["farm.heartbeat"]
-    ({!Supervise}); ["wire.send"] (in either process) and
-    ["farm.checkpoint"] are documented in {!Wire}.
+    campaign. Workers send a [Heartbeat] frame after applying round
+    state and after every completed slot. When every worker has
+    retired, the campaign ends with the barriers merged so far. Fault
+    sites: ["farm.heartbeat"] ({!Supervise}); ["wire.send"] (in either
+    process) and ["farm.checkpoint"] are documented in {!Wire}.
 
-    {2 Checkpoint/resume}
-
-    After every barrier the supervisor publishes an {!Orch.ckpt}
-    through {!Wire.write_checkpoint} (atomic, [.prev] rotation).
-    [run ~resume] continues from it: workers are stateless, so resume
-    is nothing more than restoring the orchestrator and carrying on
-    with the next round — reaching the same final coverage bitmap and
-    journal tail as the uninterrupted run.
-
-    Unlike the domains driver — which discards a dead worker's
-    in-flight round and retires the lane — this driver re-runs the
-    dead worker's share: with faults in play the two modes intentionally
+    Unlike the domains executor — which discards a dead worker's
+    in-flight round and retires the lane — this one re-runs the dead
+    worker's share: with faults in play the two modes intentionally
     differ (that is the crash-proofing), while fault-free campaigns are
     bit-identical across modes. *)
-
-module Recorder = Telemetry.Recorder
 
 (* ================================================================== *)
 (* Worker side                                                         *)
@@ -80,66 +71,34 @@ let worker_init (init : Wire.init) =
   List.iter
     (fun (p : Instr.Probe.t) -> Hashtbl.replace probes p.Instr.Probe.pid p)
     (Instr.Manager.to_list session.Odin.Session.manager);
-  let applied : (int, unit) Hashtbl.t = Hashtbl.create 97 in
-  let default_input = match init.Wire.in_seeds with s :: _ -> s | [] -> "\x00" in
   let run_assign ~send (a : Wire.assign) =
-    (* stateless round context: rebuild the shard replica, apply any
-       prunes this process has not seen yet, refresh if needed *)
+    (* stateless round context: rebuild the shard replica, then take
+       the campaign's probe state (only what this process has not
+       applied yet changes anything) *)
     let corpus = Fuzzer.Corpus.create () in
     Orch.replay_corpus corpus a.Wire.as_corpus;
-    let fresh_prunes =
-      List.filter (fun pid -> not (Hashtbl.mem applied pid)) a.Wire.as_pruned
+    let _, refreshed =
+      Orch.apply_state ~share:init.Wire.in_promote_share session probes
+        ~pruned:a.Wire.as_pruned ~profile:a.Wire.as_fn_cycles
     in
-    List.iter
-      (fun pid ->
-        Hashtbl.replace applied pid ();
-        match Hashtbl.find_opt probes pid with
-        | Some p -> Instr.Manager.remove session.Odin.Session.manager p
-        | None -> ())
-      fresh_prunes;
-    (* tier promotions: re-derive the cumulative promotion set from
-       the merged profile the supervisor sent. promote_hot is
-       idempotent, so a long-lived process queues only what is new —
-       and a freshly restarted one catches up on everything at once *)
-    let fresh_promos =
-      if init.Wire.in_promote_share > 0. then
-        Odin.Session.promote_hot ~threshold:init.Wire.in_promote_share
-          session a.Wire.as_fn_cycles
-      else []
+    let heartbeat n = send (Wire.Heartbeat { hb_round = a.Wire.as_round; hb_done = n }) in
+    heartbeat 0;
+    let lost = { Orch.skipped = 0; crashes = 0 } in
+    let items =
+      Orch.run_slots ~each:heartbeat lost
+        (Orch.exec_slot ~seed:init.Wire.in_seed ~entry:init.Wire.in_entry
+           ~host:init.Wire.in_host ~seeds:init.Wire.in_seeds ~session
+           ~total_probes:cov.Odin.Cov.total_probes ~corpus)
+        a.Wire.as_slots
     in
-    let recompiles = ref 0 in
-    if
-      fresh_prunes <> [] || fresh_promos <> []
-      || Odin.Session.degraded_fragments session <> []
-    then (
-      match Odin.Session.try_refresh session with
-      | Some (Odin.Session.Ok | Odin.Session.Degraded _) -> incr recompiles
-      | Some (Odin.Session.Rolled_back _) | None -> ());
-    let items = ref [] and done_slots = ref 0 in
-    let skipped = ref 0 and crashes = ref 0 in
-    send (Wire.Heartbeat { hb_round = a.Wire.as_round; hb_done = 0 });
-    List.iter
-      (fun idx ->
-        (match
-           Orch.exec_slot ~seed:init.Wire.in_seed ~entry:init.Wire.in_entry
-             ~host:init.Wire.in_host ~seeds:init.Wire.in_seeds
-             ~default_input ~session
-             ~total_probes:cov.Odin.Cov.total_probes ~corpus idx
-         with
-        | item -> items := item :: !items
-        | exception Support.Fault.Transient_fault _ -> incr skipped
-        | exception Vm.Fault _ -> incr crashes);
-        incr done_slots;
-        send (Wire.Heartbeat { hb_round = a.Wire.as_round; hb_done = !done_slots }))
-      a.Wire.as_slots;
     send
       (Wire.Items
          {
            im_round = a.Wire.as_round;
-           im_items = List.rev !items;
-           im_skipped = !skipped;
-           im_crashes = !crashes;
-           im_recompiles = !recompiles;
+           im_items = items;
+           im_skipped = lost.skipped;
+           im_crashes = lost.crashes;
+           im_recompiles = (if refreshed then 1 else 0);
          })
   in
   ( run_assign,
@@ -162,62 +121,27 @@ let worker_main () =
 (* ================================================================== *)
 
 (** Run a process farm over [base]: same contract and result shape as
-    the domains driver ({!Farm.run}), plus supervision and
-    checkpointing. [worker_argv] is the command line re-executed for
-    each worker (default [[| Sys.executable_name; "fuzz-worker" |]],
-    which is right for [odinc]; tests and benches pass their own
-    re-exec marker); [worker_env] the workers' environment (default:
-    inherited — note [ODIN_FAULTS] in it installs the plan {e in the
-    workers}). [checkpoint_path] publishes a checkpoint at every
-    barrier; [resume] continues a campaign from a loaded checkpoint
-    (the target digest must match). [worker_timeout] is the preemptive
-    watchdog's heartbeat deadline in seconds; [max_restarts] the
-    kill/restart budget per worker before it is retired. *)
+    the domains executor ({!Farm.run}), plus supervision.
+    [worker_argv] is the command line re-executed for each worker
+    (default [[| Sys.executable_name; "fuzz-worker" |]], which is right
+    for [odinc]; tests and benches pass their own re-exec marker);
+    [worker_env] the workers' environment (default: inherited — note
+    [ODIN_FAULTS] in it installs the plan {e in the workers}).
+    [checkpoint_path] publishes a checkpoint at every barrier; [resume]
+    continues a campaign from a loaded checkpoint (the target digest
+    must match). [worker_timeout] is the preemptive watchdog's heartbeat
+    deadline in seconds; [max_restarts] the kill/restart budget per
+    worker before it is retired. *)
 let run ?telemetry ?cache_dir ?journal ?journal_path
     ?(host = Workloads.Generate.host_functions) ?checkpoint_path ?resume
     ?(worker_timeout = 30.) ?(max_restarts = 3) ?worker_argv ?worker_env
     ~entry ~seeds (cfg : Orch.config) (base : Ir.Modul.t) =
-  let nw = max 1 cfg.Orch.fc_workers in
-  let r = match telemetry with Some r -> r | None -> Recorder.create () in
-  let jr =
-    match (journal, journal_path) with
-    | Some j, _ -> Some j
-    | None, Some _ -> Some (Telemetry.Journal.create ~clock:r.Recorder.clock ())
-    | None, None -> None
-  in
-  let jflush () =
-    match (jr, journal_path) with
-    | Some j, Some p -> Telemetry.Journal.flush j p
-    | _ -> ()
-  in
   let argv =
     match worker_argv with
     | Some a -> a
     | None -> [| Sys.executable_name; "fuzz-worker" |]
   in
-  let digest = Orch.module_digest base in
   let mod_text = Ir.Print.module_to_string base in
-  let farm_sp =
-    Telemetry.Span.enter r.Recorder.spans ~cat:"farm"
-      ~args:
-        [
-          ("workers", string_of_int nw);
-          ("execs", string_of_int cfg.Orch.fc_execs);
-          ("sync_interval", string_of_int cfg.Orch.fc_sync_interval);
-          ("seed", string_of_int cfg.Orch.fc_seed);
-          ("mode", "procs");
-        ]
-      "farm"
-  in
-  Fun.protect ~finally:(fun () -> Telemetry.Span.exit r.Recorder.spans farm_sp)
-  @@ fun () ->
-  (match resume with
-  | Some ck ->
-    if ck.Orch.ck_digest <> digest then
-      invalid_arg "Proc.run: checkpoint is for a different target module";
-    if ck.Orch.ck_seed <> cfg.Orch.fc_seed then
-      invalid_arg "Proc.run: checkpoint seed differs from the configured seed"
-  | None -> ());
   let init_for id =
     {
       Wire.in_id = id;
@@ -232,11 +156,6 @@ let run ?telemetry ?cache_dir ?journal ?journal_path
       in_promote_share = cfg.Orch.fc_promote_share;
     }
   in
-  (* per-worker vote weights (decayed on restart) and substrate counters *)
-  let weights = Array.make nw 1.0 in
-  let skipped = Array.make nw 0 and crashes = Array.make nw 0 in
-  let recompiles = Array.make nw 0 in
-  let sum a = Array.fold_left ( + ) 0 a in
   let proto =
     {
       Supervise.init = (fun id -> Wire.Init (init_for id));
@@ -246,164 +165,50 @@ let run ?telemetry ?cache_dir ?journal ?journal_path
       result = (function Wire.Items im -> Some (im.Wire.im_round, im) | _ -> None);
     }
   in
-  let sup, n_probes =
-    Telemetry.Span.with_span r.Recorder.spans ~cat:"farm" "spawn" (fun () ->
-        Supervise.start ~telemetry:r ?env:worker_env ~prefix:"farm" ~argv
-          ~timeout:worker_timeout ~max_restarts ~workers:nw
-          ~on_restart:(fun id -> weights.(id) <- weights.(id) *. cfg.Orch.fc_vote_decay)
-          proto)
-  in
-  Fun.protect ~finally:(fun () -> Supervise.shutdown sup) @@ fun () ->
-  let orch =
-    match resume with
-    | Some ck ->
-      if ck.Orch.ck_n_probes <> n_probes && Supervise.live sup <> [] then
-        invalid_arg "Proc.run: checkpoint probe count differs from the target";
-      let t = Orch.restore cfg ck in
-      List.iter
-        (fun (id, wt) -> if id >= 0 && id < nw then weights.(id) <- wt)
-        ck.Orch.ck_weights;
-      t
-    | None -> Orch.create ~n_probes cfg
-  in
-  let sup_store =
+  Loop.run ?telemetry ?journal ?journal_path ?checkpoint_path ?resume
+    ~mode:"procs" ~seeds cfg base
+  @@ fun r ->
+  (* opened before the fleet boots: nothing may fail between the boot
+     and the loop's shutdown guard *)
+  let store =
     Option.map
       (Support.Objstore.open_store ~version:Odin.Session.store_format_version)
       cache_dir
   in
-  let interval_gauge =
-    Telemetry.Metrics.counter r.Recorder.metrics "farm.sync_interval_current"
+  let sup, n_probes =
+    Supervise.start ~telemetry:r ?env:worker_env ~prefix:"farm" ~argv
+      ~timeout:worker_timeout ~max_restarts ~workers:cfg.Orch.fc_workers proto
   in
-  (* ---- the barrier ------------------------------------------------ *)
-  let barrier ~round ~next results =
-    Telemetry.Recorder.with_span r ~cat:"farm"
-      ~args:[ ("round", string_of_int round) ]
-      "sync"
-    @@ fun () ->
-    let weight_of_slot : (int, float) Hashtbl.t = Hashtbl.create 97 in
-    List.iter
-      (fun (wt, items) ->
-        List.iter
-          (fun it -> Hashtbl.replace weight_of_slot it.Csync.it_index wt)
-          items)
-      results;
-    let items =
-      List.concat_map (fun (_, items) -> items) results
-      |> List.sort (fun a b -> compare a.Csync.it_index b.Csync.it_index)
-    in
-    let weight it =
-      Option.value ~default:1.0 (Hashtbl.find_opt weight_of_slot it.Csync.it_index)
-    in
-    let broadcast, prunes = Orch.merge_round ~weight orch items in
-    Recorder.count (Some r) ~by:(List.length broadcast) "farm.inputs_exchanged";
-    if prunes <> [] then
-      Recorder.count (Some r) ~by:(List.length prunes) "farm.probes_pruned";
-    Recorder.count (Some r) "farm.sync_rounds";
-    Telemetry.Metrics.set interval_gauge orch.Orch.o_interval;
-    (* store GC while every worker is parked at the barrier *)
-    (match (sup_store, cfg.Orch.fc_cache_limit, cfg.Orch.fc_cache_age) with
-    | None, _, _ | _, None, None -> ()
-    | Some st, _, _ ->
-      let g =
-        Support.Objstore.gc ?max_bytes:cfg.Orch.fc_cache_limit
-          ?max_age:cfg.Orch.fc_cache_age st
-      in
-      orch.Orch.o_gc_evicted <- orch.Orch.o_gc_evicted + g.Support.Objstore.gc_evicted;
-      if g.Support.Objstore.gc_evicted > 0 then
-        Recorder.count (Some r) ~by:g.Support.Objstore.gc_evicted
-          "farm.store_gc_evicted");
-    (match jr with
-    | None -> ()
-    | Some j ->
-      Orch.record_sync_event j orch ~round ~merged:(List.length items)
-        ~accepted:(List.length broadcast) ~pruned:(List.length prunes);
-      Orch.record_counters_event j ~round
-        ~quarantined:(Option.map Support.Objstore.quarantine_length sup_store)
-        [ r ]);
-    (* atomic checkpoint publish at every barrier *)
-    (match checkpoint_path with
-    | None -> ()
-    | Some path ->
-      let ck =
-        Orch.snapshot orch ~digest ~workers:nw ~round ~next
-          ~skipped:(orch.Orch.o_skipped + sum skipped)
-          ~crashes:(orch.Orch.o_crashes + sum crashes)
-          ~recompiles:(orch.Orch.o_recompiles + sum recompiles)
-          ~restarts:(orch.Orch.o_restarts + Supervise.restarts sup)
-          ~weights:(List.init nw (fun id -> (id, weights.(id))))
-      in
-      if Wire.write_checkpoint path ck then
-        Recorder.count (Some r) "farm.checkpoints");
-    jflush ()
-  in
-  (* ---- one round: deal, supervise, merge -------------------------- *)
-  let run_round ~round ~next idxs =
-    let live = Supervise.live sup in
-    let n = List.length live in
-    let shares = Array.make n [] in
-    List.iteri (fun k idx -> shares.(k mod n) <- idx :: shares.(k mod n)) idxs;
-    let corpus = Orch.corpus_entries orch in
-    let pruned = Orch.pruned_list orch in
-    let fn_cycles =
+  let restarts = ref 0 in
+  let round (orch : Orch.t) ~round jobs =
+    let as_corpus = Orch.corpus_entries orch and as_pruned = Orch.pruned_list orch in
+    let as_fn_cycles =
       if cfg.Orch.fc_promote_share > 0. then Orch.fn_profile orch else []
     in
-    let jobs =
-      List.mapi
-        (fun k id ->
-          ( id,
-            {
-              Wire.as_round = round;
-              as_slots = List.rev shares.(k);
-              as_corpus = corpus;
-              as_pruned = pruned;
-              as_fn_cycles = fn_cycles;
-            } ))
-        live
-      |> List.filter (fun (_, a) -> a.Wire.as_slots <> [])
-    in
-    let results = ref [] in
-    Supervise.round sup jobs ~on_result:(fun id im ->
-        skipped.(id) <- skipped.(id) + im.Wire.im_skipped;
-        crashes.(id) <- crashes.(id) + im.Wire.im_crashes;
-        recompiles.(id) <- recompiles.(id) + im.Wire.im_recompiles;
-        results := (weights.(id), im.Wire.im_items) :: !results);
-    (* a round that lost its last worker has no barrier *)
-    if Supervise.live sup <> [] then barrier ~round ~next !results
+    let items = ref [] in
+    Supervise.round sup
+      (List.map
+         (fun (id, as_slots) ->
+           (id, { Wire.as_round = round; as_slots; as_corpus; as_pruned; as_fn_cycles }))
+         jobs)
+      ~on_result:(fun _ im ->
+        orch.Orch.o_skipped <- orch.Orch.o_skipped + im.Wire.im_skipped;
+        orch.Orch.o_crashes <- orch.Orch.o_crashes + im.Wire.im_crashes;
+        orch.Orch.o_recompiles <- orch.Orch.o_recompiles + im.Wire.im_recompiles;
+        items := im.Wire.im_items @ !items);
+    (* restarts, failed boots included, are campaign-cumulative too *)
+    orch.Orch.o_restarts <- orch.Orch.o_restarts + Supervise.restarts sup - !restarts;
+    restarts := Supervise.restarts sup;
+    !items
   in
-  let n_seeds = List.length seeds in
-  let budget = max 0 cfg.Orch.fc_execs in
-  let next = ref 0 in
-  let round = ref 1 in
-  (match resume with
-  | Some ck ->
-    next := ck.Orch.ck_next;
-    round := ck.Orch.ck_round + 1
-  | None -> ());
-  if resume = None && n_seeds > 0 && Supervise.live sup <> [] then
-    run_round ~round:0 ~next:0 (List.init n_seeds (fun i -> i));
-  while !next < budget && Supervise.live sup <> [] do
-    let n = min orch.Orch.o_interval (budget - !next) in
-    let slots = List.init n (fun k -> n_seeds + !next + k) in
-    next := !next + n;
-    run_round ~round:!round ~next:!next slots;
-    incr round
-  done;
-  (* toggle counts: in a farm campaign the only instrumentation toggles
-     are prune removals — one per pruned probe, applied identically in
-     every worker (and by the domains driver's managers) *)
-  let toggles pid = if Orch.pruned orch pid then 1 else 0 in
-  let probe_cost = Orch.probe_costs orch ~toggles in
-  let crashes = orch.Orch.o_crashes + sum crashes in
-  (match jr with
-  | None -> ()
-  | Some j ->
-    Orch.record_probe_cost_events j probe_cost;
-    Orch.record_done_event j orch ~workers:nw ~cross_hits:0 ~crashes;
-    jflush ());
-  Orch.mk_stats orch ~workers:nw ~cross_hits:0
-    ~skipped:(orch.Orch.o_skipped + sum skipped)
-    ~crashes
-    ~recompiles:(orch.Orch.o_recompiles + sum recompiles)
-    ~dead:(List.sort compare (Supervise.retired sup))
-    ~store:(Option.map Support.Objstore.stats sup_store)
-    ~probe_cost
+  {
+    Loop.n_probes;
+    live = (fun () -> Supervise.live sup);
+    round;
+    apply = (fun _ _ _ -> ());
+    recorders = [ r ];
+    store;
+    dead = (fun () -> List.sort compare (Supervise.retired sup));
+    join = (fun _ -> 0);
+    close = (fun () -> Supervise.shutdown sup);
+  }

@@ -1,23 +1,22 @@
-(** Process-isolated fuzzing farm: a supervisor and N worker processes
-    exchanging {!Wire} frames over pipes.
+(** Process-isolated fuzzing farm: the campaign loop's process
+    executor. The loop's rounds, barriers, journal and checkpoints are
+    shared with the domains executor ({!Farm.run}); here each round's
+    shares run in supervised worker processes exchanging {!Wire} frames
+    over pipes.
 
     Workers are stateless between rounds — every [Assign] frame carries
-    the full round context — so a worker killed at any point (including
-    by the supervisor's preemptive heartbeat watchdog) is restarted and
-    re-sent the same assignment, reproducing its results
+    the full round context (corpus replica, pruned set, merged
+    profile), so barrier effects reach them with the next assignment —
+    and a worker killed at any point (including by the supervisor's
+    preemptive heartbeat watchdog) is restarted and re-sent the same
+    assignment, reproducing its results, and so its prune votes,
     bit-identically. Coverage, corpus and cycles are invariant across
     worker counts, across [--farm-mode domains|procs], and across any
     kill/restart schedule. The worker lifecycle (watchdog, restart,
     retirement after [max_restarts], shutdown) is {!Supervise}; this
-    driver owns the Init/Assign/Items frames, and each restart
-    multiplies the worker's prune-vote weight by [fc_vote_decay]. When
-    every worker has retired the campaign returns the barriers merged
-    so far, listing every worker in [fs_dead].
-
-    At every sync barrier the supervisor publishes an {!Orch.ckpt}
-    through {!Wire.write_checkpoint}; [run ~resume] continues a
-    campaign from one, reaching the same final coverage bitmap and
-    journal tail as the uninterrupted run. *)
+    executor owns the Init/Assign/Items frames. When every worker has
+    retired the campaign returns the barriers merged so far, listing
+    every worker in [fs_dead]. *)
 
 (** Body of the hidden [odinc fuzz-worker] subcommand (and of the
     test/bench re-exec shims): serve one worker's slot schedules over
@@ -26,11 +25,11 @@
 val worker_main : unit -> unit
 
 (** Run a process farm over the base module: same contract and result
-    shape as the domains driver ({!Farm.run}), plus supervision and
-    checkpointing. [worker_argv] is the command line re-executed for
-    each worker (default [[| Sys.executable_name; "fuzz-worker" |]]);
-    [worker_env] the workers' environment (default: inherited — an
-    [ODIN_FAULTS] entry installs the plan {e in the workers}).
+    shape as the domains executor ({!Farm.run}), plus supervision.
+    [worker_argv] is the command line re-executed for each worker
+    (default [[| Sys.executable_name; "fuzz-worker" |]]); [worker_env]
+    the workers' environment (default: inherited — an [ODIN_FAULTS]
+    entry installs the plan {e in the workers}).
     [checkpoint_path] publishes a checkpoint at every barrier; [resume]
     continues from a loaded checkpoint (the target digest must match).
     [worker_timeout] is the preemptive watchdog's heartbeat deadline in

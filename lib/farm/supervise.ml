@@ -25,7 +25,6 @@ type ('a, 'r) t = {
   env : string array;
   timeout : float;
   max_restarts : int;
-  on_restart : int -> unit;
   count : string -> unit;
   ws : 'a worker array;
   mutable universe : int;  (** -1 until the first Ready *)
@@ -103,7 +102,6 @@ let rec on_death sup w reason =
       w.restarts <- w.restarts + 1;
       sup.n_restarts <- sup.n_restarts + 1;
       sup.count "worker_restarts";
-      sup.on_restart w.id;
       match launch sup w with
       | Ok () -> send_all sup w w.queue
       | Error m -> on_death sup w ("restart failed: " ^ m)
@@ -130,8 +128,8 @@ and give sup w jobs =
     w.queue <- w.queue @ jobs;
     send_all sup w jobs
 
-let start ~telemetry ?(on_restart = ignore) ?(env = Unix.environment ()) ~prefix
-    ~argv ~timeout ~max_restarts ~workers proto =
+let start ~telemetry ?(env = Unix.environment ()) ~prefix ~argv ~timeout
+    ~max_restarts ~workers proto =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let mk id =
     {
@@ -152,7 +150,6 @@ let start ~telemetry ?(on_restart = ignore) ?(env = Unix.environment ()) ~prefix
       env;
       timeout;
       max_restarts;
-      on_restart;
       count =
         (fun name -> Telemetry.Recorder.count (Some telemetry) (prefix ^ "." ^ name));
       ws = Array.init (max 1 workers) mk;

@@ -43,10 +43,9 @@ type ('a, 'r) t
 (** Spawn [workers] processes and wait for each to be ready, restarting
     or retiring the ones that fail. Returns the fleet and its universe
     size (0 when no worker came up). [env] defaults to the inherited
-    environment; [on_restart id] runs at every restart of worker [id]. *)
+    environment. *)
 val start :
   telemetry:Telemetry.Recorder.t ->
-  ?on_restart:(int -> unit) ->
   ?env:string array ->
   prefix:string ->
   argv:string array ->

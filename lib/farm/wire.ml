@@ -215,9 +215,9 @@ let w_ckpt b (ck : Orch.ckpt) =
   w_i64 b ck.ck_duplicates;
   w_i64 b ck.ck_stale;
   w_list b
-    (fun b (pid, w) ->
+    (fun b (pid, n) ->
       w_i64 b pid;
-      w_f64 b w)
+      w_i64 b n)
     ck.ck_votes;
   w_list b w_i64 ck.ck_pruned;
   w_list b w_centry ck.ck_corpus;
@@ -246,12 +246,7 @@ let w_ckpt b (ck : Orch.ckpt) =
   w_i64 b ck.ck_crashes;
   w_i64 b ck.ck_recompiles;
   w_i64 b ck.ck_restarts;
-  w_i64 b ck.ck_gc_evicted;
-  w_list b
-    (fun b (id, w) ->
-      w_i64 b id;
-      w_f64 b w)
-    ck.ck_weights
+  w_i64 b ck.ck_gc_evicted
 
 let r_ckpt c =
   let ck_version = r_i64 c in
@@ -273,8 +268,8 @@ let r_ckpt c =
   let ck_votes =
     r_list c (fun c ->
         let pid = r_i64 c in
-        let w = r_f64 c in
-        (pid, w))
+        let n = r_i64 c in
+        (pid, n))
   in
   let ck_pruned = r_list c r_i64 in
   let ck_corpus = r_list c r_centry in
@@ -307,12 +302,6 @@ let r_ckpt c =
   let ck_recompiles = r_i64 c in
   let ck_restarts = r_i64 c in
   let ck_gc_evicted = r_i64 c in
-  let ck_weights =
-    r_list c (fun c ->
-        let id = r_i64 c in
-        let w = r_f64 c in
-        (id, w))
-  in
   {
     Orch.ck_version;
     ck_digest;
@@ -344,7 +333,6 @@ let r_ckpt c =
     ck_recompiles;
     ck_restarts;
     ck_gc_evicted;
-    ck_weights;
   }
 
 (* ------------------------------------------------------------------ *)

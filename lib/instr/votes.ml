@@ -9,40 +9,32 @@
     quorum — so the farm converges to the same pruned instrumentation a
     long single campaign would.
 
-    Votes are weighted: a healthy worker's vote counts 1.0, while the
-    supervisor can discount evidence from a worker that was killed and
-    restarted mid-round (its observations may come from a corrupted
-    run). Integer-weighted use degenerates to the original exact
-    integer tally, so [count]/[saturated] keep their historical
-    semantics for weight-1.0 callers.
+    Every vote counts one: a worker process restarted mid-round re-runs
+    a bit-identical assignment, so its votes are the same evidence an
+    unkilled worker would cast.
 
     Purely sequential: the farm tallies at its sync barrier, in global
     execution order. *)
 
-type t = { tally : (int, float) Hashtbl.t (* pid -> weighted fired-execution votes *) }
+type t = { tally : (int, int) Hashtbl.t (* pid -> fired-execution votes *) }
 
 let create () = { tally = Hashtbl.create 97 }
 
-(** Record one execution in which probe [pid] fired, worth [weight]
-    votes (default 1.0). *)
-let record ?(weight = 1.0) t ~pid =
-  Hashtbl.replace t.tally pid (weight +. Option.value ~default:0.0 (Hashtbl.find_opt t.tally pid))
+(** Record one execution in which probe [pid] fired. *)
+let record t ~pid =
+  Hashtbl.replace t.tally pid (1 + Option.value ~default:0 (Hashtbl.find_opt t.tally pid))
 
-(** Exact weighted tally for [pid] (0.0 when never seen). *)
-let tally t pid = Option.value ~default:0.0 (Hashtbl.find_opt t.tally pid)
+(** Votes recorded for [pid] (0 when never seen). *)
+let count t pid = Option.value ~default:0 (Hashtbl.find_opt t.tally pid)
 
-(** Whole votes recorded for [pid] (weighted tally, floored). *)
-let count t pid = int_of_float (floor (tally t pid +. 1e-9))
-
-(** Probes whose weighted tally has reached [quorum], excluding those
-    [already] acted upon; sorted ascending so callers apply them in a
+(** Probes whose tally has reached [quorum], excluding those [already]
+    acted upon; sorted ascending so callers apply them in a
     deterministic order. A non-positive [quorum] never saturates. *)
 let saturated t ~quorum ~already =
   if quorum <= 0 then []
   else
-    let q = float_of_int quorum -. 1e-9 in
     Hashtbl.fold
-      (fun pid n acc -> if n >= q && not (already pid) then pid :: acc else acc)
+      (fun pid n acc -> if n >= quorum && not (already pid) then pid :: acc else acc)
       t.tally []
     |> List.sort compare
 
@@ -50,14 +42,14 @@ let saturated t ~quorum ~already =
 let merge ~into other =
   Hashtbl.iter
     (fun pid n ->
-      Hashtbl.replace into.tally pid (n +. Option.value ~default:0.0 (Hashtbl.find_opt into.tally pid)))
+      Hashtbl.replace into.tally pid
+        (n + Option.value ~default:0 (Hashtbl.find_opt into.tally pid)))
     other.tally
 
 (** Number of distinct probes with at least one vote. *)
 let distinct t = Hashtbl.length t.tally
 
-(** Every (pid, weighted tally) pair, ascending by pid — for
-    checkpointing. *)
+(** Every (pid, tally) pair, ascending by pid — for checkpointing. *)
 let entries t =
   Hashtbl.fold (fun pid n acc -> (pid, n) :: acc) t.tally [] |> List.sort compare
 

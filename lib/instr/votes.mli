@@ -1,27 +1,21 @@
 (** Global probe-saturation tallies for multi-campaign pruning: workers
     report which probes fired per execution; a probe is pruned only when
-    its weighted vote tally reaches a global quorum, so a fuzzing farm
-    converges to the same pruned instrumentation a long single campaign
-    would. Votes default to weight 1.0; a supervisor can discount a
-    killed-and-restarted worker's evidence with a fractional weight. *)
+    its vote tally reaches a global quorum, so a fuzzing farm converges
+    to the same pruned instrumentation a long single campaign would.
+    Every vote counts one. *)
 
 type t
 
 val create : unit -> t
 
-(** Record one execution in which probe [pid] fired, worth [weight]
-    votes (default 1.0 — the historical integer tally). *)
-val record : ?weight:float -> t -> pid:int -> unit
+(** Record one execution in which probe [pid] fired. *)
+val record : t -> pid:int -> unit
 
-(** Exact weighted tally for [pid] (0.0 when never seen). *)
-val tally : t -> int -> float
-
-(** Whole votes recorded for [pid]: the weighted tally, floored.
-    Matches the historical integer count for weight-1.0 callers. *)
+(** Votes recorded for [pid] (0 when never seen). *)
 val count : t -> int -> int
 
-(** Probes whose weighted tally reached [quorum], excluding those
-    [already] acted upon; sorted ascending. Non-positive [quorum] never
+(** Probes whose tally reached [quorum], excluding those [already]
+    acted upon; sorted ascending. Non-positive [quorum] never
     saturates. *)
 val saturated : t -> quorum:int -> already:(int -> bool) -> int list
 
@@ -31,8 +25,8 @@ val merge : into:t -> t -> unit
 (** Distinct probes with at least one vote. *)
 val distinct : t -> int
 
-(** Every (pid, weighted tally), ascending by pid — checkpoint export. *)
-val entries : t -> (int * float) list
+(** Every (pid, tally), ascending by pid — checkpoint export. *)
+val entries : t -> (int * int) list
 
 (** Rebuild a tally from {!entries} output. *)
-val restore : (int * float) list -> t
+val restore : (int * int) list -> t

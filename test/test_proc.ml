@@ -40,15 +40,13 @@ let env_with_plan plan =
     (List.filter keep (Array.to_list (Unix.environment ()))
     @ [ "ODIN_FAULTS=" ^ Fault.to_string plan ])
 
-let mk_cfg ?(workers = 2) ?(execs = 60) ?(sync = 20) ?(quorum = 1)
-    ?(decay = 1.0) () =
+let mk_cfg ?(workers = 2) ?(execs = 60) ?(sync = 20) ?(quorum = 1) () =
   {
     Farm.default_config with
     Farm.fc_workers = workers;
     fc_execs = execs;
     fc_sync_interval = sync;
     fc_prune_quorum = quorum;
-    fc_vote_decay = decay;
   }
 
 let run_proc ?telemetry ?journal_path ?checkpoint_path ?resume ?worker_env
@@ -249,6 +247,9 @@ let test_procs_equals_domains () =
     prc.Farm.fs_total_probes;
   Alcotest.(check int) "same barrier count" dom.Farm.fs_sync_rounds
     prc.Farm.fs_sync_rounds;
+  (* one toggle rule for both substrates: the removal of a pruned probe *)
+  Alcotest.(check bool) "same probe-cost attribution" true
+    (dom.Farm.fs_probe_cost = prc.Farm.fs_probe_cost);
   Alcotest.(check bool) "found coverage" true (prc.Farm.fs_coverage <> [])
 
 let test_procs_worker_invariance () =
@@ -299,36 +300,21 @@ let test_kill_matrix () =
 let test_preemptive_kill () =
   (* supervisor-side fault on the heartbeat site: the watchdog SIGKILLs
      one worker pre-barrier and restarts it; results are unchanged *)
+  with_tmp_dir "preempt" @@ fun dir ->
+  let path = Filename.concat dir "ck" in
   let baseline = run_proc (mk_cfg ()) in
   let r = Telemetry.Recorder.create () in
   let st =
     Fault.with_plan
       (Fault.plan [ Fault.rule ~trigger:(Fault.Nth 2) "farm.heartbeat" Fault.Raise ])
-      (fun () -> run_proc ~telemetry:r (mk_cfg ()))
+      (fun () -> run_proc ~telemetry:r ~checkpoint_path:path (mk_cfg ()))
   in
   check_logical "preemptive kill" baseline st;
   Alcotest.(check int) "exactly one restart" 1
     (counter_total r "farm.worker_restarts");
-  Alcotest.(check (list (pair int string))) "none retired" [] st.Farm.fs_dead
-
-let test_vote_decay_on_restart () =
-  (* a restarted worker's prune-vote weight decays; the final
-     checkpoint records the per-worker weights *)
-  with_tmp_dir "decay" @@ fun dir ->
-  let path = Filename.concat dir "ck" in
-  let r = Telemetry.Recorder.create () in
-  let _ =
-    Fault.with_plan
-      (Fault.plan [ Fault.rule ~trigger:(Fault.Nth 1) "farm.heartbeat" Fault.Raise ])
-      (fun () ->
-        run_proc ~telemetry:r ~checkpoint_path:path (mk_cfg ~decay:0.5 ()))
-  in
-  Alcotest.(check int) "one restart" 1 (counter_total r "farm.worker_restarts");
-  let ck = Wire.read_checkpoint path in
-  let weights = List.map snd ck.Orch.ck_weights |> List.sort compare in
-  Alcotest.(check (list (float 1e-9)))
-    "killed worker's weight halved, survivor's intact" [ 0.5; 1.0 ] weights;
-  Alcotest.(check int) "restart count checkpointed" 1 ck.Orch.ck_restarts
+  Alcotest.(check (list (pair int string))) "none retired" [] st.Farm.fs_dead;
+  Alcotest.(check int) "restart count checkpointed" 1
+    (Wire.read_checkpoint path).Orch.ck_restarts
 
 let test_all_workers_retired () =
   (* a fault that kills every incarnation at its first send exhausts
@@ -394,7 +380,19 @@ let test_resume_from_middle () =
   Alcotest.(check bool) "journal probe-cost tail identical" true
     (costs_f = costs_r && costs_f <> []);
   Alcotest.(check bool) "journal summary identical" true
-    (done_f = done_r && done_f <> [])
+    (done_f = done_r && done_f <> []);
+  (* the domains executor resumes through the same loop: its fresh
+     workers take the checkpointed corpus and pruned set first *)
+  let dck = Filename.concat dir "dck" in
+  let domains ?checkpoint_path ?resume execs =
+    Farm.run ~pool:Pool.serial ?checkpoint_path ?resume ~entry ~seeds
+      (mk_cfg ~execs ()) (compile ())
+  in
+  let _ = domains ~checkpoint_path:dck 20 in
+  let dresumed = domains ~resume:(Wire.read_checkpoint dck) 60 in
+  check_logical "domains resume reaches the uninterrupted state" full dresumed;
+  Alcotest.(check bool) "domains resume: same probe-cost attribution" true
+    (dresumed.Farm.fs_probe_cost = full.Farm.fs_probe_cost)
 
 let test_resume_from_final () =
   with_tmp_dir "resume-final" @@ fun dir ->
@@ -488,8 +486,6 @@ let () =
             test_kill_matrix;
           Alcotest.test_case "preemptive watchdog kill" `Slow
             test_preemptive_kill;
-          Alcotest.test_case "vote decay on restart" `Slow
-            test_vote_decay_on_restart;
           Alcotest.test_case "all workers retired degrades cleanly" `Slow
             test_all_workers_retired;
         ] );
