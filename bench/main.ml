@@ -20,18 +20,6 @@ module Snap = Telemetry.Snapshot
 let out_dir = ref "."
 let quick_mode = ref false
 
-(* Publish one section's metrics as BENCH_<section>.json (atomic write;
-   a killed run never leaves a truncated snapshot). *)
-let emit ~section metrics =
-  let meta =
-    Snap.default_meta
-      ~jobs:(Support.Pool.default_size ())
-      ~extra:[ ("mode", (if !quick_mode then "quick" else "full")) ]
-      ()
-  in
-  let path = Snap.write ~dir:!out_dir (Snap.create ~section ~meta metrics) in
-  Printf.printf "  snapshot -> %s\n" path
-
 type config = { fuzz_execs : int; rounds : int; programs : Workloads.Profile.t list }
 
 let full_config =
@@ -546,13 +534,157 @@ let ablation cfg =
     (100. *. (float_of_int cycles_nocou /. float_of_int cycles_cou -. 1.))
 
 (* ------------------------------------------------------------------ *)
+(* Snapshot sections: one combinator prints and publishes each         *)
+(* ------------------------------------------------------------------ *)
+
+(* The sections below publish BENCH_<section>.json snapshots that CI
+   gates against bench/baseline/. They carry deterministic counters
+   (Exact), modelled costs (Cost) and context (Info) only: wall-clock
+   claims about Odin's own speed are bench/e2e's, which judges paired
+   runs against BENCHMARK.json's bounds. *)
+
+(* One value of a section: a table column ([col], or the label of a
+   section-level line), a snapshot metric ([metric], named relative to
+   its row), or both. [ok = false] is an invariant that failed. *)
+type cell = { col : string option; text : string; metric : Snap.metric option; ok : bool }
+
+let col name text = { col = Some name; text; metric = None; ok = true }
+
+(* an integer metric, shown under [col] when given *)
+let count ?col ?text ?unit_ ?(cls = Snap.Exact) name n =
+  {
+    col;
+    text = Option.value text ~default:(string_of_int n);
+    metric = Some (Snap.metric ?unit_ ~cls name (float_of_int n));
+    ok = true;
+  }
+
+let real ?col ~fmt ?unit_ ~cls name v =
+  { col; text = Printf.sprintf fmt v; metric = Some (Snap.metric ?unit_ ~cls name v); ok = true }
+
+(* an invariant, published as an Exact 1/0 when [name] is given *)
+let check ?name label ok =
+  {
+    col = Some label;
+    text = (if ok then "yes" else "NO — BUG");
+    metric =
+      Option.map (fun n -> Snap.metric ~cls:Snap.Exact n (if ok then 1. else 0.)) name;
+    ok;
+  }
+
+(* Print a section's tables — each a title and rows of cells, one
+   column per cell with a [col] — then its section-level [cells] as
+   "label: text" lines; write BENCH_<section>.json from every metric
+   cell, named with its row's prefix (a row without one publishes
+   none); then exit 1 if any invariant read false. The snapshot is
+   written atomically, so a killed run never leaves a truncated one. *)
+let publish ~section ?(tables = []) cells =
+  List.iter
+    (fun (title, rows) ->
+      match rows with
+      | [] -> ()
+      | (_, first) :: _ ->
+        let texts cs = List.filter_map (fun c -> Option.map (fun _ -> c.text) c.col) cs in
+        Support.Tab.print ~title
+          ~header:(List.filter_map (fun c -> c.col) first)
+          (List.map (fun (_, cs) -> texts cs) rows))
+    tables;
+  List.iter (fun c -> Option.iter (fun l -> Printf.printf "  %s: %s\n" l c.text) c.col) cells;
+  let rows = List.concat_map snd tables @ [ (Some "", cells) ] in
+  let metrics =
+    List.concat_map
+      (fun (prefix, cs) ->
+        match prefix with
+        | None -> []
+        | Some p ->
+          List.filter_map
+            (fun c -> Option.map (fun m -> { m with Snap.m_name = p ^ m.Snap.m_name }) c.metric)
+            cs)
+      rows
+  in
+  let meta =
+    Snap.default_meta
+      ~jobs:(Support.Pool.default_size ())
+      ~extra:[ ("mode", (if !quick_mode then "quick" else "full")) ]
+      ()
+  in
+  let path = Snap.write ~dir:!out_dir (Snap.create ~section ~meta metrics) in
+  Printf.printf "  snapshot -> %s\n" path;
+  match List.concat_map (fun (_, cs) -> List.filter (fun c -> not c.ok) cs) rows with
+  | [] -> ()
+  | failed ->
+    Printf.eprintf "bench %s: invariant failed: %s\n" section
+      (String.concat "; " (List.filter_map (fun c -> c.col) failed));
+    exit 1
+
+(* sqlite scaled up to 645 fragments under Max partitioning, where the
+   full link dominates refresh time as it would for a real target with
+   thousands of symbols; bench/e2e's sqlite-xl *)
+let sqlite_xl =
+  {
+    (Workloads.Profile.find_exn "sqlite") with
+    Workloads.Profile.name = "sqlite-xl";
+    n_helpers = 400;
+    n_tiny = 200;
+    n_parsers = 24;
+  }
+
+(* A Max-partition coverage session over [m], built. *)
+let cov_session ?pool ?incremental_link ?incremental_sched ?tiered m =
+  let session =
+    Odin.Session.create ~mode:Odin.Partition.Max ~keep:[ entry ]
+      ~runtime_globals:[ Odin.Cov.runtime_global m ]
+      ~host:Workloads.Generate.host_functions ?pool ?incremental_link
+      ?incremental_sched ?tiered m
+  in
+  ignore (Odin.Cov.setup session);
+  ignore (Odin.Session.build session);
+  session
+
+(* digest of every fragment object of a session *)
+let fingerprint session =
+  Hashtbl.fold
+    (fun fid obj acc -> (fid, Digest.string (Marshal.to_string obj [])) :: acc)
+    session.Odin.Session.cache []
+  |> List.sort compare
+
+(* The steady state of a long session's edit loop: one probe whose on
+   and off objects are both already cached. *)
+let warm_probe session =
+  let mgr = session.Odin.Session.manager in
+  let found = ref None in
+  Instr.Manager.iter (fun pr -> if !found = None then found := Some pr) mgr;
+  let probe = Option.get !found in
+  List.iter
+    (fun on ->
+      Instr.Manager.set_enabled mgr probe on;
+      ignore (Odin.Session.refresh session))
+    [ false; true ];
+  probe
+
+(* Toggle [probe] [iters] times, one refresh each, passing each
+   refresh's event to [f]; returns the image digest after every toggle
+   (the bit-identity bar against a reference session). *)
+let toggle_loop session probe ~iters f =
+  List.init iters (fun i ->
+      Instr.Manager.set_enabled session.Odin.Session.manager probe (i mod 2 = 1);
+      f (Option.get (Odin.Session.refresh session));
+      let img =
+        List.sort compare
+          (List.map
+             (fun (b, by) -> (b, Bytes.to_string by))
+             (Odin.Session.executable session).Link.Linker.image)
+      in
+      Digest.string (Marshal.to_string img []))
+
+(* ------------------------------------------------------------------ *)
 (* Telemetry: per-stage breakdown of a full campaign                   *)
 (* ------------------------------------------------------------------ *)
 
-(** Where does the wall-clock of one campaign go? Runs prepare + an
-    OdinCov replay for one workload with a telemetry recorder attached
-    and prints the per-stage aggregation (the -ftime-report analogue of
-    the figures above, which only show per-event sums). *)
+(** Where does one campaign's work go? Runs prepare + an OdinCov replay
+    for one workload with a telemetry recorder attached and prints the
+    per-stage aggregation (the -ftime-report analogue of the figures
+    above, which only show per-event sums). *)
 let timereport cfg =
   print_endline "\n== Telemetry: per-stage time breakdown (one campaign) ==";
   let p = List.hd cfg.programs in
@@ -565,17 +697,8 @@ let timereport cfg =
   Telemetry.Report.print
     ~title:(Printf.sprintf "campaign %s" p.Workloads.Profile.name)
     r;
-  (* cross-check: the report's compile/link stage totals are the same
-     numbers the Session exposes as recompile events (one timing source) *)
-  let events = Odin.Session.events odin.Fuzzer.Campaign.o_session in
-  let sum f = List.fold_left (fun a e -> a +. f e) 0. events in
-  Printf.printf
-    "  cross-check vs Session events: %d events, compile %.3f ms, link %.3f ms\n"
-    (List.length events)
-    (1000. *. sum (fun e -> e.Odin.Session.ev_compile_time))
-    (1000. *. sum (fun e -> e.Odin.Session.ev_link_time));
-  (* snapshot: the deterministic session/link/campaign counters gate as
-     Exact; shard waits are contention-dependent; the O(changed)-refresh
+  (* the deterministic session/link/campaign counters gate as Exact;
+     shard waits are contention-dependent; the O(changed)-refresh
      counters gate as Cost — they measure scheduler/cache work, which is
      expected to drift as those paths evolve, within tolerance *)
   let agg : (string, int) Hashtbl.t = Hashtbl.create 32 in
@@ -591,7 +714,7 @@ let timereport cfg =
           (Telemetry.Metrics.value c
           + Option.value ~default:0 (Hashtbl.find_opt agg name)))
     (Telemetry.Metrics.counters r.Telemetry.Recorder.metrics);
-  let counter_metrics =
+  let counters =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) agg []
     |> List.sort compare
     |> List.map (fun (name, v) ->
@@ -607,27 +730,24 @@ let timereport cfg =
              then Snap.Cost
              else Snap.Exact
            in
-           Snap.metric ~cls ("counter." ^ name) (float_of_int v))
+           count ~cls ("counter." ^ name) v)
   in
-  emit ~section:"timereport"
-    (Snap.metric ~cls:Snap.Exact "recompile_events"
-       (float_of_int (List.length events))
-    :: Snap.metric ~unit_:"ms" ~cls:Snap.Wall "compile_ms"
-         (1000. *. sum (fun e -> e.Odin.Session.ev_compile_time))
-    :: Snap.metric ~unit_:"ms" ~cls:Snap.Wall "link_ms"
-         (1000. *. sum (fun e -> e.Odin.Session.ev_link_time))
-    :: counter_metrics)
+  publish ~section:"timereport"
+    (count ~col:"recompile events" "recompile_events"
+       (List.length (Odin.Session.events odin.Fuzzer.Campaign.o_session))
+    :: counters)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel recompilation: domain pool + content-addressed cache       *)
 (* ------------------------------------------------------------------ *)
 
-(** Serial vs parallel vs cache-warm cost of a full multi-fragment
-    refresh. Max partition on the last (largest) workload gives one
-    fragment per function; toggling every coverage probe off schedules
-    all of them (a cold recompile), toggling back on reproduces the
-    initial build's instrumented IR byte-for-byte, so every fragment is
-    an object-cache hit and the refresh is relink-only. *)
+(** Cold vs cache-warm full multi-fragment refresh, per pool size. Max
+    partition on the last (largest) workload gives one fragment per
+    function; toggling every coverage probe off schedules all of them
+    (a cold recompile), toggling back on reproduces the initial build's
+    instrumented IR byte-for-byte, so every fragment is an object-cache
+    hit and the refresh is relink-only. Every pool size must produce
+    bit-identical objects. *)
 let parallel cfg =
   print_endline "\n== Parallel recompilation (domain pool + object cache) ==";
   let p = List.nth cfg.programs (List.length cfg.programs - 1) in
@@ -636,116 +756,56 @@ let parallel cfg =
       if size = 1 then Support.Pool.serial else Support.Pool.create ~size ()
     in
     Fun.protect ~finally:(fun () -> Support.Pool.shutdown pool) @@ fun () ->
-    let m = Workloads.Generate.compile p in
-    let session =
-      Odin.Session.create ~mode:Odin.Partition.Max ~keep:[ entry ]
-        ~runtime_globals:[ Odin.Cov.runtime_global m ]
-        ~host:Workloads.Generate.host_functions ~pool m
-    in
-    ignore (Odin.Cov.setup session);
-    ignore (Odin.Session.build session);
-    let toggle enabled =
+    let session = cov_session ~pool (Workloads.Generate.compile p) in
+    let refresh enabled =
       Instr.Manager.iter
         (fun pr ->
           Instr.Manager.set_enabled session.Odin.Session.manager pr enabled)
-        session.Odin.Session.manager
+        session.Odin.Session.manager;
+      Option.get (Odin.Session.refresh session)
     in
-    let time f =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      (r, 1000. *. (Unix.gettimeofday () -. t0))
-    in
-    toggle false;
-    let ev_cold, ms_cold =
-      time (fun () -> Option.get (Odin.Session.refresh session))
-    in
-    toggle true;
-    let ev_warm, ms_warm =
-      time (fun () -> Option.get (Odin.Session.refresh session))
-    in
-    let fingerprint =
-      Hashtbl.fold
-        (fun fid obj acc ->
-          (fid, Digest.string (Marshal.to_string obj [])) :: acc)
-        session.Odin.Session.cache []
-      |> List.sort compare
-    in
-    (ev_cold, ms_cold, ev_warm, ms_warm, fingerprint)
+    let cold = refresh false in
+    let warm = refresh true in
+    (cold, warm, fingerprint session)
   in
-  let sizes =
-    List.sort_uniq compare [ 1; 2; Support.Pool.default_size () ]
+  let results =
+    List.map
+      (fun s -> (s, observe s))
+      (List.sort_uniq compare [ 1; 2; Support.Pool.default_size () ])
   in
-  let results = List.map (fun s -> (s, observe s)) sizes in
-  Support.Tab.print
-    ~title:(Printf.sprintf "full refresh, program %s (Max partition)"
-              p.Workloads.Profile.name)
-    ~header:
-      [ "jobs"; "cold ms"; "compiled"; "warm ms"; "hits"; "recompiled" ]
-    (List.map
-       (fun (size, (ev_cold, ms_cold, ev_warm, ms_warm, _)) ->
-         let n_cold = List.length ev_cold.Odin.Session.ev_fragments in
-         let n_warm = List.length ev_warm.Odin.Session.ev_fragments in
-         [
-           string_of_int size;
-           Printf.sprintf "%.2f" ms_cold;
-           string_of_int (n_cold - ev_cold.Odin.Session.ev_cache_hits);
-           Printf.sprintf "%.2f" ms_warm;
-           Printf.sprintf "%d/%d" ev_warm.Odin.Session.ev_cache_hits n_warm;
-           string_of_int (n_warm - ev_warm.Odin.Session.ev_cache_hits);
-         ])
-       results);
-  (* the correctness bar, checked live: every pool size produced
-     bit-identical fragment objects *)
-  let fps =
-    List.map (fun (_, (_, _, _, _, fp)) -> fp) results
+  let fps = List.map (fun (_, (_, _, fp)) -> fp) results in
+  let missed (ev : Odin.Session.recompile_event) =
+    List.length ev.Odin.Session.ev_fragments - ev.Odin.Session.ev_cache_hits
   in
-  let identical = List.for_all (fun fp -> fp = List.hd fps) fps in
-  Printf.printf "  bit-identical objects across pool sizes: %s\n"
-    (if identical then "yes" else "NO — BUG");
-  let _, (_, serial_cold, _, serial_warm, _) = List.hd results in
-  let best_cold =
-    match List.tl results with
-    | [] -> serial_cold
-    | tl ->
-      List.fold_left (fun acc (_, (_, ms, _, _, _)) -> min acc ms) infinity tl
-  in
-  Printf.printf
-    "  cold refresh: serial %.2f ms, best parallel %.2f ms (%.2fx, %d cores); \
-     cache-warm refresh %.2f ms recompiles 0 fragments\n"
-    serial_cold best_cold
-    (serial_cold /. max 1e-9 best_cold)
-    (Domain.recommended_domain_count ())
-    serial_warm;
-  (* snapshot: only the fixed pool sizes (1, 2) — jobsN metric names must
-     not depend on this host's core count or cross-machine diffs would
-     report missing metrics *)
-  emit ~section:"parallel"
-    (List.concat_map
-       (fun (size, (ev_cold, ms_cold, ev_warm, ms_warm, _)) ->
-         if size > 2 then []
-         else
-           let n_cold = List.length ev_cold.Odin.Session.ev_fragments in
-           let n_warm = List.length ev_warm.Odin.Session.ev_fragments in
-           let pre = Printf.sprintf "jobs%d." size in
-           [
-             Snap.metric ~unit_:"ms" ~cls:Snap.Wall (pre ^ "cold_ms") ms_cold;
-             Snap.metric ~unit_:"ms" ~cls:Snap.Wall (pre ^ "warm_ms") ms_warm;
-             Snap.metric ~cls:Snap.Exact (pre ^ "compiled_cold")
-               (float_of_int (n_cold - ev_cold.Odin.Session.ev_cache_hits));
-             Snap.metric ~cls:Snap.Exact (pre ^ "warm_cache_hits")
-               (float_of_int ev_warm.Odin.Session.ev_cache_hits);
-             Snap.metric ~cls:Snap.Exact (pre ^ "warm_recompiled")
-               (float_of_int (n_warm - ev_warm.Odin.Session.ev_cache_hits));
-           ])
-       results
-    @ [
-        Snap.metric ~cls:Snap.Exact "objects_bit_identical"
-          (if identical then 1. else 0.);
-        Snap.metric ~unit_:"ratio" ~cls:Snap.Info "speedup_cold"
-          (serial_cold /. max 1e-9 best_cold);
-        Snap.metric ~cls:Snap.Info "default_pool_size"
-          (float_of_int (Support.Pool.default_size ()));
-      ])
+  publish ~section:"parallel"
+    ~tables:
+      [
+        ( Printf.sprintf "full refresh, program %s (Max partition)"
+            p.Workloads.Profile.name,
+          List.map
+            (fun (size, (cold, warm, _)) ->
+              (* only the fixed pool sizes (1, 2) publish: jobsN metric
+                 names must not depend on this host's core count or
+                 cross-machine diffs would report missing metrics *)
+              ( (if size <= 2 then Some (Printf.sprintf "jobs%d." size) else None),
+                [
+                  col "jobs" (string_of_int size);
+                  count ~col:"cold compiled" "compiled_cold" (missed cold);
+                  count ~col:"warm hits"
+                    ~text:
+                      (Printf.sprintf "%d/%d" warm.Odin.Session.ev_cache_hits
+                         (List.length warm.Odin.Session.ev_fragments))
+                    "warm_cache_hits" warm.Odin.Session.ev_cache_hits;
+                  count ~col:"warm recompiled" "warm_recompiled" (missed warm);
+                ] ))
+            results );
+      ]
+    [
+      check ~name:"objects_bit_identical" "bit-identical objects across pool sizes"
+        (List.for_all (fun fp -> fp = List.hd fps) fps);
+      count ~col:"default pool size" ~cls:Snap.Info "default_pool_size"
+        (Support.Pool.default_size ());
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Incremental relinking: persistent link state + patching             *)
@@ -760,143 +820,55 @@ let parallel cfg =
     (the bit-identity bar, checked live). *)
 let relink _cfg =
   print_endline "\n== Incremental relinking (persistent link state) ==";
-  (* small/medium real profiles plus a scaled-up synthetic one where the
-     full link dominates refresh time, as it would for a real target
-     with thousands of symbols *)
-  let xlarge =
-    {
-      (Workloads.Profile.find_exn "sqlite") with
-      Workloads.Profile.name = "sqlite-xl";
-      n_helpers = 400;
-      n_tiny = 200;
-      n_parsers = 24;
-    }
-  in
-  let programs =
-    [ Workloads.Profile.find_exn "json";
-      Workloads.Profile.find_exn "sqlite";
-      xlarge ]
-  in
   let iters = 100 in
   let observe (p : Workloads.Profile.t) incremental =
-    let m = Workloads.Generate.compile p in
     let session =
-      Odin.Session.create ~mode:Odin.Partition.Max ~keep:[ entry ]
-        ~runtime_globals:[ Odin.Cov.runtime_global m ]
-        ~host:Workloads.Generate.host_functions ~incremental_link:incremental m
+      cov_session ~incremental_link:incremental (Workloads.Generate.compile p)
     in
-    ignore (Odin.Cov.setup session);
-    ignore (Odin.Session.build session);
-    let probe =
-      let found = ref None in
-      Instr.Manager.iter
-        (fun pr -> if !found = None then found := Some pr)
-        session.Odin.Session.manager;
-      Option.get !found
+    let probe = warm_probe session in
+    let cost = ref 0 in
+    let images =
+      toggle_loop session probe ~iters (fun _ ->
+          cost :=
+            !cost
+            + (Link.Incremental.last session.Odin.Session.linker).Link.Incremental.ls_cost)
     in
-    (* warm both objects (probe on / probe off) into the cache so the
-       steady-state refresh is link-dominated, like a long session *)
-    Instr.Manager.set_enabled session.Odin.Session.manager probe false;
-    ignore (Odin.Session.refresh session);
-    Instr.Manager.set_enabled session.Odin.Session.manager probe true;
-    ignore (Odin.Session.refresh session);
-    (* identity pass: digest the image after each toggle (not timed) *)
-    let images = ref [] in
-    for i = 1 to iters do
-      Instr.Manager.set_enabled session.Odin.Session.manager probe (i mod 2 = 0);
-      ignore (Option.get (Odin.Session.refresh session));
-      let exe = Odin.Session.executable session in
-      let img =
-        List.sort compare
-          (List.map (fun (b, by) -> (b, Bytes.to_string by)) exe.Link.Linker.image)
-      in
-      images := Digest.string (Marshal.to_string img []) :: !images
-    done;
-    (* timing pass: same toggle loop, nothing else in the timed region *)
-    Gc.major ();
-    let cost0 = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    for i = 1 to iters do
-      Instr.Manager.set_enabled session.Odin.Session.manager probe (i mod 2 = 0);
-      ignore (Odin.Session.refresh session);
-      cost0 := !cost0 + (Link.Incremental.last session.Odin.Session.linker).Link.Incremental.ls_cost
-    done;
-    let wall = Unix.gettimeofday () -. t0 in
-    let st = Link.Incremental.stats session.Odin.Session.linker in
-    ( 1000. *. wall /. float_of_int iters,
-      !cost0 / iters,
-      st,
+    ( !cost / iters,
+      Link.Incremental.stats session.Odin.Session.linker,
       Array.length session.Odin.Session.plan.Odin.Partition.fragments,
-      List.rev !images )
+      images )
   in
-  let rows =
-    List.map
-      (fun (p : Workloads.Profile.t) ->
-        let ms_full, cost_full, _, frags, images_full = observe p false in
-        let ms_inc, cost_inc, st, _, images_inc = observe p true in
-        let identical = images_full = images_inc in
-        (p.Workloads.Profile.name, frags, ms_full, cost_full, ms_inc, cost_inc,
-         st, identical))
-      programs
-  in
-  Support.Tab.print
-    ~title:
-      (Printf.sprintf
-         "single-probe toggle refresh, %d iterations (Max partition)" iters)
-    ~header:
-      [ "program"; "frags"; "full ms"; "full cost"; "incr ms"; "incr cost";
-        "cost x"; "wall x"; "patched s/r"; "fallbacks"; "identical" ]
-    (List.map
-       (fun (name, frags, ms_full, cost_full, ms_inc, cost_inc,
-             (st : Link.Incremental.stats), identical) ->
-         [
-           name;
-           string_of_int frags;
-           Printf.sprintf "%.2f" ms_full;
-           string_of_int cost_full;
-           Printf.sprintf "%.2f" ms_inc;
-           string_of_int cost_inc;
-           Printf.sprintf "%.1f" (float_of_int cost_full /. float_of_int (max 1 cost_inc));
-           Printf.sprintf "%.1f" (ms_full /. max 1e-9 ms_inc);
-           Printf.sprintf "%d/%d"
+  let row (p : Workloads.Profile.t) =
+    let cost_full, _, frags, images_full = observe p false in
+    let cost_inc, (st : Link.Incremental.stats), _, images_inc = observe p true in
+    ( Some (p.Workloads.Profile.name ^ "."),
+      [
+        col "program" p.Workloads.Profile.name;
+        count ~col:"frags" ~cls:Snap.Info "fragments" frags;
+        count ~col:"full cost" ~unit_:"cost" ~cls:Snap.Cost "full_cost" cost_full;
+        count ~col:"incr cost" ~unit_:"cost" ~cls:Snap.Cost "incr_cost" cost_inc;
+        col "cost x"
+          (Printf.sprintf "%.1f" (float_of_int cost_full /. float_of_int (max 1 cost_inc)));
+        col "patched s/r"
+          (Printf.sprintf "%d/%d"
              (st.Link.Incremental.st_symbols_patched / max 1 st.Link.Incremental.st_incremental)
-             (st.Link.Incremental.st_relocs_patched / max 1 st.Link.Incremental.st_incremental);
-           string_of_int st.Link.Incremental.st_fallbacks;
-           (if identical then "yes" else "NO — BUG");
-         ])
-       rows);
-  (match List.rev rows with
-  | (name, _, ms_full, cost_full, ms_inc, cost_inc, _, _) :: _ ->
-    Printf.printf
-      "  largest workload (%s): modelled link cost %.1fx lower, refresh wall \
-       time %.1fx lower with incremental linking\n"
-      name
-      (float_of_int cost_full /. float_of_int (max 1 cost_inc))
-      (ms_full /. max 1e-9 ms_inc)
-  | [] -> ());
-  emit ~section:"relink"
-    (List.concat_map
-       (fun (name, frags, ms_full, cost_full, ms_inc, cost_inc,
-             (st : Link.Incremental.stats), identical) ->
-         let pre = name ^ "." in
-         [
-           Snap.metric ~cls:Snap.Info (pre ^ "fragments") (float_of_int frags);
-           Snap.metric ~unit_:"ms" ~cls:Snap.Wall (pre ^ "full_ms") ms_full;
-           Snap.metric ~unit_:"ms" ~cls:Snap.Wall (pre ^ "incr_ms") ms_inc;
-           Snap.metric ~unit_:"cost" ~cls:Snap.Cost (pre ^ "full_cost")
-             (float_of_int cost_full);
-           Snap.metric ~unit_:"cost" ~cls:Snap.Cost (pre ^ "incr_cost")
-             (float_of_int cost_inc);
-           Snap.metric ~cls:Snap.Exact (pre ^ "symbols_patched")
-             (float_of_int st.Link.Incremental.st_symbols_patched);
-           Snap.metric ~cls:Snap.Exact (pre ^ "relocs_patched")
-             (float_of_int st.Link.Incremental.st_relocs_patched);
-           Snap.metric ~cls:Snap.Exact (pre ^ "fallbacks")
-             (float_of_int st.Link.Incremental.st_fallbacks);
-           Snap.metric ~cls:Snap.Exact (pre ^ "images_identical")
-             (if identical then 1. else 0.);
-         ])
-       rows)
+             (st.Link.Incremental.st_relocs_patched / max 1 st.Link.Incremental.st_incremental));
+        count "symbols_patched" st.Link.Incremental.st_symbols_patched;
+        count "relocs_patched" st.Link.Incremental.st_relocs_patched;
+        count ~col:"fallbacks" "fallbacks" st.Link.Incremental.st_fallbacks;
+        check ~name:"images_identical" "identical" (images_full = images_inc);
+      ] )
+  in
+  publish ~section:"relink"
+    ~tables:
+      [
+        ( Printf.sprintf "single-probe toggle refresh, %d iterations (Max partition)"
+            iters,
+          List.map row
+            [ Workloads.Profile.find_exn "json"; Workloads.Profile.find_exn "sqlite"; sqlite_xl ]
+        );
+      ]
+    []
 
 (* ------------------------------------------------------------------ *)
 (* Two-tier compilation: baseline backend vs optimizing pipeline       *)
@@ -907,39 +879,14 @@ let relink _cfg =
     the optimizing pipeline's modelled cost while staying semantically
     equivalent, and a fully promoted tiered session must converge on
     the untiered session's objects and traces exactly. Both bars are
-    asserted live — the bench fails loudly rather than snapshot a
-    broken tier. sqlite-xl runs with a skewed hot/cold cycle
-    distribution ([hot_skew]) so a realistic minority of fragments
-    dominates the profile promotions are decided from. *)
+    invariants: the bench fails rather than accept a broken tier.
+    sqlite-xl runs with a skewed hot/cold cycle distribution
+    ([hot_skew]) so a realistic minority of fragments dominates the
+    profile promotions are decided from. *)
 let tier _cfg =
   print_endline "\n== Tiered compilation (tier-0 baseline vs optimizing tier) ==";
-  let xlarge =
-    {
-      (Workloads.Profile.find_exn "sqlite") with
-      Workloads.Profile.name = "sqlite-xl";
-      n_helpers = 400;
-      n_tiny = 200;
-      n_parsers = 24;
-      hot_skew = 8;
-    }
-  in
+  let xlarge = { sqlite_xl with Workloads.Profile.hot_skew = 8 } in
   let m_src = Workloads.Generate.source xlarge in
-  let mk tiered =
-    let m = Minic.Lower.compile m_src in
-    let session =
-      Odin.Session.create ~mode:Odin.Partition.Max ~keep:[ entry ]
-        ~runtime_globals:[ Odin.Cov.runtime_global m ]
-        ~host:Workloads.Generate.host_functions ~tiered m
-    in
-    ignore (Odin.Cov.setup session);
-    session
-  in
-  let timed f =
-    Gc.major ();
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    (x, 1000. *. (Unix.gettimeofday () -. t0))
-  in
   let inputs = Workloads.Generate.seed_inputs ~count:4 xlarge in
   let run_target ?profile session input =
     let vm = Vm.create (Odin.Session.executable session) in
@@ -952,15 +899,9 @@ let tier _cfg =
     ((ret, vm.Vm.cycles), prof)
   in
   let trace session = List.map (fun i -> fst (run_target session i)) inputs in
-  let fingerprint session =
-    Hashtbl.fold
-      (fun fid obj acc -> (fid, Digest.string (Marshal.to_string obj [])) :: acc)
-      session.Odin.Session.cache []
-    |> List.sort compare
-  in
   (* initial build, both tiers *)
-  let u_sess, u_ms = timed (fun () -> let s = mk false in ignore (Odin.Session.build s); s) in
-  let t_sess, t_ms = timed (fun () -> let s = mk true in ignore (Odin.Session.build s); s) in
+  let u_sess = cov_session ~tiered:false (Minic.Lower.compile m_src) in
+  let t_sess = cov_session ~tiered:true (Minic.Lower.compile m_src) in
   let u_st = Odin.Session.tier_stats u_sess in
   let t_st = Odin.Session.tier_stats t_sess in
   let per0 =
@@ -984,88 +925,61 @@ let tier _cfg =
   List.iter
     (fun n -> Vm.register_host osr_vm n (fun _ -> 0L))
     Workloads.Generate.host_functions;
-  let (), promo_ms = timed (fun () -> ignore (Odin.Session.refresh t_sess)) in
-  (* OSR: migrate a VM created on the pre-promotion image, measuring
-     the size of the transferred byte delta and the queue+apply cost *)
+  ignore (Odin.Session.refresh t_sess);
+  (* OSR: migrate a VM created on the pre-promotion image *)
   let osr_slots = List.length (Link.Incremental.last_slots t_sess.Odin.Session.linker) in
-  let migrated, osr_ms =
-    timed (fun () ->
-        if not (Odin.Session.osr_into t_sess osr_vm) then false
-        else begin
-          let addr = Vm.write_buffer osr_vm (List.hd inputs) in
-          ignore
-            (Vm.call osr_vm entry
-               [ addr; Int64.of_int (String.length (List.hd inputs)) ]);
-          Vm.osr_migrations osr_vm = 1
-        end)
+  let migrated =
+    if not (Odin.Session.osr_into t_sess osr_vm) then false
+    else begin
+      let addr = Vm.write_buffer osr_vm (List.hd inputs) in
+      ignore
+        (Vm.call osr_vm entry
+           [ addr; Int64.of_int (String.length (List.hd inputs)) ]);
+      Vm.osr_migrations osr_vm = 1
+    end
   in
   (* promote everything that remains and demand exact convergence *)
-  let all_fids =
-    List.map fst (Odin.Session.fragment_sizes t_sess) |> List.sort compare
-  in
-  Odin.Session.promote t_sess all_fids;
+  Odin.Session.promote t_sess
+    (List.sort compare (List.map fst (Odin.Session.fragment_sizes t_sess)));
   ignore (Odin.Session.refresh t_sess);
   let objects_identical = fingerprint t_sess = fingerprint u_sess in
   let traces_identical = trace t_sess = trace u_sess in
   let final = Odin.Session.tier_stats t_sess in
-  Support.Tab.print
-    ~title:"tier-0 baseline vs optimizing tier (sqlite-xl, Max partition)"
-    ~header:
-      [ "metric"; "tier 0"; "tier 1" ]
+  publish ~section:"tier"
+    ~tables:
+      [
+        ( "tier-0 baseline vs optimizing tier (sqlite-xl, Max partition)",
+          [
+            ( Some "",
+              [
+                col "metric" "fresh compiles (initial build)";
+                count ~col:"tier 0" "tier0_compiles" t_st.Odin.Session.ts_tier0_compiles;
+                count ~col:"tier 1" "tier1_compiles" u_st.Odin.Session.ts_tier1_compiles;
+              ] );
+            ( Some "",
+              [
+                col "metric" "modelled cost / fragment";
+                real ~col:"tier 0" ~fmt:"%.0f" ~unit_:"cost" ~cls:Snap.Cost
+                  "tier0_cost_per_fragment" per0;
+                real ~col:"tier 1" ~fmt:"%.0f" ~unit_:"cost" ~cls:Snap.Cost
+                  "tier1_cost_per_fragment" per1;
+              ] );
+          ] );
+      ]
     [
-      [ "fresh compiles (initial build)";
-        string_of_int t_st.Odin.Session.ts_tier0_compiles;
-        string_of_int u_st.Odin.Session.ts_tier1_compiles ];
-      [ "modelled cost / fragment";
-        Printf.sprintf "%.0f" per0;
-        Printf.sprintf "%.0f" per1 ];
-      [ "initial build wall ms";
-        Printf.sprintf "%.1f" t_ms;
-        Printf.sprintf "%.1f" u_ms ];
-    ];
-  Printf.printf
-    "  cost separation: optimizing tier %.1fx the baseline per fragment\n"
-    cost_ratio;
-  Printf.printf
-    "  hot set: %d fragments promoted from a live profile (threshold 2%%), \
-     relink %.1f ms\n"
-    (List.length hot) promo_ms;
-  Printf.printf
-    "  OSR: migrated=%b, %d data slots replayed, queue+first-call %.2f ms\n"
-    migrated osr_slots osr_ms;
-  Printf.printf "  fully promoted: objects %s, traces %s\n"
-    (if objects_identical then "identical" else "DIVERGED — BUG")
-    (if traces_identical then "identical" else "DIVERGED — BUG");
-  (* the acceptance bars, asserted live *)
-  if cost_ratio < 5.0 then
-    failwith
-      (Printf.sprintf
-         "tier bench: tier-0 cost separation %.1fx is below the 5x bar"
-         cost_ratio);
-  if not (tier0_returns_ok && objects_identical && traces_identical) then
-    failwith "tier bench: tiered session diverged from the untiered oracle";
-  if not migrated then failwith "tier bench: OSR migration did not land";
-  emit ~section:"tier"
-    [
-      Snap.metric ~cls:Snap.Exact "tier0_compiles"
-        (float_of_int t_st.Odin.Session.ts_tier0_compiles);
-      Snap.metric ~cls:Snap.Exact "tier1_compiles"
-        (float_of_int u_st.Odin.Session.ts_tier1_compiles);
-      Snap.metric ~unit_:"cost" ~cls:Snap.Cost "tier0_cost_per_fragment" per0;
-      Snap.metric ~unit_:"cost" ~cls:Snap.Cost "tier1_cost_per_fragment" per1;
-      Snap.metric ~unit_:"ratio" ~cls:Snap.Info "cost_ratio" cost_ratio;
-      Snap.metric ~unit_:"ms" ~cls:Snap.Wall "tier0_build_ms" t_ms;
-      Snap.metric ~unit_:"ms" ~cls:Snap.Wall "tier1_build_ms" u_ms;
-      Snap.metric ~cls:Snap.Exact "hot_promoted" (float_of_int (List.length hot));
-      Snap.metric ~unit_:"ms" ~cls:Snap.Wall "promotion_relink_ms" promo_ms;
-      Snap.metric ~cls:Snap.Exact "osr_slots_replayed" (float_of_int osr_slots);
-      Snap.metric ~unit_:"ms" ~cls:Snap.Wall "osr_migrate_ms" osr_ms;
-      Snap.metric ~cls:Snap.Exact "promotions_total"
-        (float_of_int final.Odin.Session.ts_promotions);
-      Snap.metric ~cls:Snap.Exact "objects_identical"
-        (if objects_identical then 1. else 0.);
-      Snap.metric ~cls:Snap.Exact "traces_identical"
-        (if traces_identical then 1. else 0.);
+      real ~col:"cost separation (tier 1 / tier 0 per fragment)" ~fmt:"%.1fx"
+        ~unit_:"ratio" ~cls:Snap.Info "cost_ratio" cost_ratio;
+      check "cost separation at least 5x" (cost_ratio >= 5.0);
+      check "tier-0 returns match the optimizing tier" tier0_returns_ok;
+      count ~col:"hot set promoted from a live profile (threshold 2%)" "hot_promoted"
+        (List.length hot);
+      count ~col:"OSR data slots replayed" "osr_slots_replayed" osr_slots;
+      check "OSR migration landed" migrated;
+      count ~col:"promotions" "promotions_total" final.Odin.Session.ts_promotions;
+      check ~name:"objects_identical" "fully promoted: objects identical"
+        objects_identical;
+      check ~name:"traces_identical" "fully promoted: traces identical"
+        traces_identical;
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1087,9 +1001,6 @@ let schedule_bench _cfg =
   print_endline
     "\n== O(changed) refresh scheduling (incremental scheduler + object \
      cache) ==";
-  let programs =
-    [ Workloads.Profile.find_exn "sqlite"; Workloads.Profile.sqlite_xxl ]
-  in
   (* the identity pass digests the whole image per toggle — O(program)
      measurement overhead on the ~10k-fragment program, so quick (CI)
      mode runs fewer toggles; the refresh path under test is unaffected *)
@@ -1099,161 +1010,83 @@ let schedule_bench _cfg =
       (Telemetry.Metrics.counter
          session.Odin.Session.telemetry.Telemetry.Recorder.metrics name)
   in
-  let observe (p : Workloads.Profile.t) =
-    let run_mode incremental =
-      let m = Workloads.Generate.compile p in
-      let session =
-        Odin.Session.create ~mode:Odin.Partition.Max ~keep:[ entry ]
-          ~runtime_globals:[ Odin.Cov.runtime_global m ]
-          ~host:Workloads.Generate.host_functions
-          ~incremental_sched:incremental m
-      in
-      ignore (Odin.Cov.setup session);
-      ignore (Odin.Session.build session);
-      let probe =
-        let found = ref None in
-        Instr.Manager.iter
-          (fun pr -> if !found = None then found := Some pr)
-          session.Odin.Session.manager;
-        Option.get !found
-      in
-      (* warm both objects (probe on / probe off): the steady state of a
-         long session, where the toggled fragment is already cached *)
-      Instr.Manager.set_enabled session.Odin.Session.manager probe false;
-      ignore (Odin.Session.refresh session);
-      Instr.Manager.set_enabled session.Odin.Session.manager probe true;
-      ignore (Odin.Session.refresh session);
-      (* identity + accounting pass (not timed): per-toggle image digest
-         and the deterministic cost inputs *)
-      let images = ref [] in
-      let visited0 = counter session "session.schedule_visited" in
-      let memo0 = counter session "session.opt_memo_hits" in
-      let scheduled = ref 0 and recompiled = ref 0 and link_cost = ref 0 in
-      for i = 1 to iters do
-        Instr.Manager.set_enabled session.Odin.Session.manager probe
-          (i mod 2 = 0);
-        let ev = Option.get (Odin.Session.refresh session) in
-        scheduled := !scheduled + List.length ev.Odin.Session.ev_fragments;
-        recompiled :=
-          !recompiled
-          + List.length ev.Odin.Session.ev_fragments
-          - ev.Odin.Session.ev_cache_hits;
-        link_cost :=
-          !link_cost
-          + (Link.Incremental.last session.Odin.Session.linker)
-              .Link.Incremental.ls_cost;
-        let exe = Odin.Session.executable session in
-        let img =
-          List.sort compare
-            (List.map
-               (fun (b, by) -> (b, Bytes.to_string by))
-               exe.Link.Linker.image)
-        in
-        images := Digest.string (Marshal.to_string img []) :: !images
-      done;
-      let visited = counter session "session.schedule_visited" - visited0 in
-      let memo_hits = counter session "session.opt_memo_hits" - memo0 in
-      let modelled =
-        ((2 * visited) + (5 * !scheduled) + (1000 * !recompiled) + !link_cost)
-        / iters
-      in
-      (* timing pass: same toggle loop, nothing else in the timed region *)
-      Gc.major ();
-      let t0 = Unix.gettimeofday () in
-      for i = 1 to iters do
-        Instr.Manager.set_enabled session.Odin.Session.manager probe
-          (i mod 2 = 0);
-        ignore (Odin.Session.refresh session)
-      done;
-      let ms = 1000. *. (Unix.gettimeofday () -. t0) /. float_of_int iters in
-      let frags =
-        Array.length session.Odin.Session.plan.Odin.Partition.fragments
-      in
-      ( frags,
-        ( ms, visited / iters, memo_hits, !recompiled, modelled,
-          List.rev !images ) )
+  let run (p : Workloads.Profile.t) incremental =
+    let session =
+      cov_session ~incremental_sched:incremental (Workloads.Generate.compile p)
     in
-    let frags, inc = run_mode true in
-    let _, full = run_mode false in
-    (p.Workloads.Profile.name, frags, inc, full)
+    let probe = warm_probe session in
+    let visited0 = counter session "session.schedule_visited" in
+    let memo0 = counter session "session.opt_memo_hits" in
+    let scheduled = ref 0 and recompiled = ref 0 and link_cost = ref 0 in
+    let images =
+      toggle_loop session probe ~iters (fun ev ->
+          let n = List.length ev.Odin.Session.ev_fragments in
+          scheduled := !scheduled + n;
+          recompiled := !recompiled + n - ev.Odin.Session.ev_cache_hits;
+          link_cost :=
+            !link_cost
+            + (Link.Incremental.last session.Odin.Session.linker).Link.Incremental.ls_cost)
+    in
+    let visited = counter session "session.schedule_visited" - visited0 in
+    ( Array.length session.Odin.Session.plan.Odin.Partition.fragments,
+      visited / iters,
+      counter session "session.opt_memo_hits" - memo0,
+      !recompiled,
+      ((2 * visited) + (5 * !scheduled) + (1000 * !recompiled) + !link_cost) / iters,
+      images )
   in
-  let rows = List.map observe programs in
-  Support.Tab.print
-    ~title:
-      (Printf.sprintf
-         "single-probe toggle refresh, %d iterations (Max partition)" iters)
-    ~header:
-      [ "program"; "frags"; "full ms"; "incr ms"; "visited full"; "visited incr";
-        "memo hits"; "cost full"; "cost incr"; "identical" ]
-    (List.map
-       (fun (name, frags,
-             (ms_i, visited_i, memo_i, _, cost_i, images_i),
-             (ms_f, visited_f, _, _, cost_f, images_f)) ->
-         [
-           name;
-           string_of_int frags;
-           Printf.sprintf "%.2f" ms_f;
-           Printf.sprintf "%.2f" ms_i;
-           string_of_int visited_f;
-           string_of_int visited_i;
-           string_of_int memo_i;
-           string_of_int cost_f;
-           string_of_int cost_i;
-           (if images_i = images_f then "yes" else "NO — BUG");
-         ])
-       rows);
-  (* the acceptance bar: the modelled one-toggle refresh cost must not
-     grow with program size — ~10k fragments within 2x of 42 *)
-  (match rows with
-  | [ (_, frags_s, (_, _, _, _, cost_s, _), _);
-      (_, frags_x, (_, _, _, _, cost_x, _), _) ] ->
-    Printf.printf
-      "  modelled refresh cost, %d vs %d fragments (incremental): %d vs %d \
-       (%.2fx)\n"
-      frags_x frags_s cost_x cost_s
-      (float_of_int cost_x /. float_of_int (max 1 cost_s))
-  | _ -> ());
-  emit ~section:"schedule"
-    (List.concat_map
-       (fun (name, frags,
-             (ms_i, visited_i, memo_i, recompiled_i, cost_i, images_i),
-             (ms_f, visited_f, _, recompiled_f, cost_f, images_f)) ->
-         let pre = name ^ "." in
-         [
-           Snap.metric ~cls:Snap.Info (pre ^ "fragments") (float_of_int frags);
-           Snap.metric ~unit_:"ms" ~cls:Snap.Wall (pre ^ "full_ms") ms_f;
-           Snap.metric ~unit_:"ms" ~cls:Snap.Wall (pre ^ "incr_ms") ms_i;
-           Snap.metric ~cls:Snap.Exact (pre ^ "visited_full")
-             (float_of_int visited_f);
-           Snap.metric ~cls:Snap.Exact (pre ^ "visited_incr")
-             (float_of_int visited_i);
-           Snap.metric ~cls:Snap.Exact (pre ^ "memo_hits")
-             (float_of_int memo_i);
-           Snap.metric ~cls:Snap.Exact (pre ^ "recompiled_full")
-             (float_of_int recompiled_f);
-           Snap.metric ~cls:Snap.Exact (pre ^ "recompiled_incr")
-             (float_of_int recompiled_i);
-           Snap.metric ~unit_:"cost" ~cls:Snap.Cost (pre ^ "modelled_full")
-             (float_of_int cost_f);
-           Snap.metric ~unit_:"cost" ~cls:Snap.Cost (pre ^ "modelled_incr")
-             (float_of_int cost_i);
-           Snap.metric ~cls:Snap.Exact (pre ^ "images_identical")
-             (if images_i = images_f then 1. else 0.);
-         ])
-       rows
-    @
-    match rows with
-    | [ (_, _, (_, _, _, _, cost_s, _), _); (_, _, (_, _, _, _, cost_x, _), _) ]
-      ->
+  let observe (p : Workloads.Profile.t) =
+    let frags, visited_i, memo_i, recompiled_i, cost_i, images_i = run p true in
+    let _, visited_f, _, recompiled_f, cost_f, images_f = run p false in
+    ( cost_i,
+      ( Some (p.Workloads.Profile.name ^ "."),
+        [
+          col "program" p.Workloads.Profile.name;
+          count ~col:"frags" ~cls:Snap.Info "fragments" frags;
+          count ~col:"visited full" "visited_full" visited_f;
+          count ~col:"visited incr" "visited_incr" visited_i;
+          count ~col:"memo hits" "memo_hits" memo_i;
+          count "recompiled_full" recompiled_f;
+          count "recompiled_incr" recompiled_i;
+          count ~col:"cost full" ~unit_:"cost" ~cls:Snap.Cost "modelled_full" cost_f;
+          count ~col:"cost incr" ~unit_:"cost" ~cls:Snap.Cost "modelled_incr" cost_i;
+          check ~name:"images_identical" "identical" (images_i = images_f);
+        ] ) )
+  in
+  let cost_s, small = observe (Workloads.Profile.find_exn "sqlite") in
+  let cost_x, xxl = observe Workloads.Profile.sqlite_xxl in
+  publish ~section:"schedule"
+    ~tables:
       [
-        Snap.metric ~unit_:"ratio" ~cls:Snap.Info "xxl_vs_small_cost_ratio"
-          (float_of_int cost_x /. float_of_int (max 1 cost_s));
+        ( Printf.sprintf "single-probe toggle refresh, %d iterations (Max partition)"
+            iters,
+          [ small; xxl ] );
       ]
-    | _ -> [])
+    [
+      (* the modelled one-toggle refresh cost must not grow with
+         program size *)
+      real ~col:"modelled refresh cost, sqlite-xxl / sqlite (incremental)"
+        ~fmt:"%.2fx" ~unit_:"ratio" ~cls:Snap.Info "xxl_vs_small_cost_ratio"
+        (float_of_int cost_x /. float_of_int (max 1 cost_s));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Fuzzing farm: multi-worker scaling + invariance                     *)
 (* ------------------------------------------------------------------ *)
+
+(* the logical outcome of a farm campaign, as farm and farm_proc publish
+   it *)
+let farm_cells st =
+  [
+    count ~col:"execs" "execs" st.Farm.fs_execs;
+    count ~unit_:"cycles" "total_cycles" st.Farm.fs_total_cycles;
+    count ~col:"coverage"
+      ~text:
+        (Printf.sprintf "%d/%d" (List.length st.Farm.fs_coverage) st.Farm.fs_total_probes)
+      "coverage" (List.length st.Farm.fs_coverage);
+    count ~col:"pruned" "pruned" (List.length st.Farm.fs_pruned);
+    count ~col:"exchanged" "exchanged" st.Farm.fs_exchanged;
+  ]
 
 let farm cfg =
   print_endline "\n== Fuzzing farm (multi-worker campaign orchestrator) ==";
@@ -1263,86 +1096,47 @@ let farm cfg =
   let observe workers =
     let pool = Support.Pool.create ~size:(max 2 workers) () in
     Fun.protect ~finally:(fun () -> Support.Pool.shutdown pool) @@ fun () ->
-    let m = Workloads.Generate.compile p in
-    let fcfg =
+    Farm.run ~pool ~entry ~seeds
       {
         Farm.default_config with
         Farm.fc_workers = workers;
         fc_execs = execs;
         fc_sync_interval = 50;
       }
-    in
-    let t0 = Unix.gettimeofday () in
-    let st = Farm.run ~pool ~entry ~seeds fcfg m in
-    (st, Unix.gettimeofday () -. t0)
+      (Workloads.Generate.compile p)
   in
   let results = List.map (fun w -> (w, observe w)) [ 1; 2; 4 ] in
-  Support.Tab.print
-    ~title:
-      (Printf.sprintf "farm scaling, program %s (%d execs, sync every 50)"
-         p.Workloads.Profile.name execs)
-    ~header:
-      [ "workers"; "wall s"; "execs/s"; "coverage"; "pruned"; "exchanged";
-        "dedup %"; "cross hits"; "recompiles" ]
-    (List.map
-       (fun (w, (st, secs)) ->
-         [
-           string_of_int w;
-           Printf.sprintf "%.2f" secs;
-           Printf.sprintf "%.0f" (float_of_int st.Farm.fs_execs /. max 1e-9 secs);
-           Printf.sprintf "%d/%d"
-             (List.length st.Farm.fs_coverage)
-             st.Farm.fs_total_probes;
-           string_of_int (List.length st.Farm.fs_pruned);
-           string_of_int st.Farm.fs_exchanged;
-           Printf.sprintf "%.0f" (Farm.dedup_rate st);
-           string_of_int st.Farm.fs_cross_hits;
-           string_of_int st.Farm.fs_recompiles;
-         ])
-       results);
-  (* the correctness bar, checked live: worker count must not change the
-     logical outcome *)
+  (* worker count must not change the logical outcome *)
   let sigs =
     List.map
-      (fun (_, (st, _)) ->
-        (st.Farm.fs_coverage, st.Farm.fs_pruned, st.Farm.fs_corpus))
+      (fun (_, st) -> (st.Farm.fs_coverage, st.Farm.fs_pruned, st.Farm.fs_corpus))
       results
   in
-  let identical = List.for_all (fun s -> s = List.hd sigs) sigs in
-  Printf.printf
-    "  identical (coverage, pruned, corpus) across worker counts: %s\n"
-    (if identical then "yes" else "NO — BUG");
-  emit ~section:"farm"
-    (List.concat_map
-       (fun (w, (st, secs)) ->
-         let pre = Printf.sprintf "w%d." w in
-         [
-           Snap.metric ~unit_:"s" ~cls:Snap.Wall (pre ^ "wall_s") secs;
-           Snap.metric ~cls:Snap.Exact (pre ^ "execs")
-             (float_of_int st.Farm.fs_execs);
-           Snap.metric ~unit_:"cycles" ~cls:Snap.Exact (pre ^ "total_cycles")
-             (float_of_int st.Farm.fs_total_cycles);
-           Snap.metric ~cls:Snap.Exact (pre ^ "coverage")
-             (float_of_int (List.length st.Farm.fs_coverage));
-           Snap.metric ~cls:Snap.Exact (pre ^ "pruned")
-             (float_of_int (List.length st.Farm.fs_pruned));
-           Snap.metric ~cls:Snap.Exact (pre ^ "exchanged")
-             (float_of_int st.Farm.fs_exchanged);
-           Snap.metric ~cls:Snap.Cost (pre ^ "cross_hits")
-             (float_of_int st.Farm.fs_cross_hits);
-           Snap.metric ~cls:Snap.Exact (pre ^ "recompiles")
-             (float_of_int st.Farm.fs_recompiles);
-           Snap.metric ~unit_:"cycles" ~cls:Snap.Exact (pre ^ "probe_cycles")
-             (float_of_int
-                (List.fold_left
-                   (fun a pc -> a + pc.Farm.pc_cycles)
-                   0 st.Farm.fs_probe_cost));
-         ])
-       results
-    @ [
-        Snap.metric ~cls:Snap.Exact "invariant_across_workers"
-          (if identical then 1. else 0.);
-      ])
+  publish ~section:"farm"
+    ~tables:
+      [
+        ( Printf.sprintf "farm scaling, program %s (%d execs, sync every 50)"
+            p.Workloads.Profile.name execs,
+          List.map
+            (fun (w, st) ->
+              ( Some (Printf.sprintf "w%d." w),
+                (col "workers" (string_of_int w) :: farm_cells st)
+                @ [
+                  col "dedup %" (Printf.sprintf "%.0f" (Farm.dedup_rate st));
+                  count ~col:"cross hits" ~cls:Snap.Cost "cross_hits" st.Farm.fs_cross_hits;
+                  count ~col:"recompiles" "recompiles" st.Farm.fs_recompiles;
+                  count ~unit_:"cycles" "probe_cycles"
+                    (List.fold_left
+                       (fun a pc -> a + pc.Farm.pc_cycles)
+                       0 st.Farm.fs_probe_cost);
+                ] ))
+            results );
+      ]
+    [
+      check ~name:"invariant_across_workers"
+        "identical (coverage, pruned, corpus) across worker counts"
+        (List.for_all (fun s -> s = List.hd sigs) sigs);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Process farm: supervised workers, kill/restart, checkpoint/resume   *)
@@ -1364,25 +1158,20 @@ let farm_proc cfg =
   (* this binary doubles as the worker executable (see the dispatch at
      the entry point) *)
   let worker_argv = [| Sys.executable_name; "fuzz-worker" |] in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
   (* the in-process reference: domains farm at the same config *)
-  let dom, dom_s =
-    time (fun () ->
-        let pool = Support.Pool.create ~size:2 () in
-        Fun.protect ~finally:(fun () -> Support.Pool.shutdown pool)
-        @@ fun () ->
-        Farm.run ~pool ~entry ~seeds (fcfg 2) (Workloads.Generate.compile p))
+  let dom =
+    let pool = Support.Pool.create ~size:2 () in
+    Fun.protect ~finally:(fun () -> Support.Pool.shutdown pool) @@ fun () ->
+    Farm.run ~pool ~entry ~seeds (fcfg 2) (Workloads.Generate.compile p)
   in
-  let observe workers =
-    time (fun () ->
-        Farm.Proc.run ~worker_argv ~entry ~seeds (fcfg workers)
-          (Workloads.Generate.compile p))
+  let results =
+    List.map
+      (fun w ->
+        ( w,
+          Farm.Proc.run ~worker_argv ~entry ~seeds (fcfg w)
+            (Workloads.Generate.compile p) ))
+      [ 1; 2; 4 ]
   in
-  let results = List.map (fun w -> (w, observe w)) [ 1; 2; 4 ] in
   (* checkpointed run, then resume the tail from a mid-campaign
      checkpoint (the interrupted budget stops on a barrier so the
      resumed run shares the uninterrupted barrier schedule) *)
@@ -1392,13 +1181,12 @@ let farm_proc cfg =
   Support.Objstore.rm_rf dir;
   Unix.mkdir dir 0o755;
   Fun.protect ~finally:(fun () -> Support.Objstore.rm_rf dir) @@ fun () ->
-  let ck_path = Filename.concat dir "ck" in
   let r = Telemetry.Recorder.create () in
-  let ckpt_st, ckpt_s =
-    time (fun () ->
-        Farm.Proc.run ~telemetry:r ~worker_argv ~checkpoint_path:ck_path
-          ~entry ~seeds (fcfg 2)
-          (Workloads.Generate.compile p))
+  let ckpt_st =
+    Farm.Proc.run ~telemetry:r ~worker_argv
+      ~checkpoint_path:(Filename.concat dir "ck")
+      ~entry ~seeds (fcfg 2)
+      (Workloads.Generate.compile p)
   in
   let checkpoints =
     List.fold_left
@@ -1417,43 +1205,17 @@ let farm_proc cfg =
       (Workloads.Generate.compile p)
   in
   let ck = Farm.Wire.read_checkpoint partial_ck in
-  let resumed, resume_s =
-    time (fun () ->
-        Farm.Proc.run ~worker_argv ~resume:ck ~entry ~seeds (fcfg 2)
-          (Workloads.Generate.compile p))
+  let resumed =
+    Farm.Proc.run ~worker_argv ~resume:ck ~entry ~seeds (fcfg 2)
+      (Workloads.Generate.compile p)
   in
-  let rows =
-    ("domains", 2, dom, dom_s)
-    :: List.map (fun (w, (st, s)) -> ("procs", w, st, s)) results
-    @ [
-        ("procs+ckpt", 2, ckpt_st, ckpt_s);
-        ("resume tail", 2, resumed, resume_s);
-      ]
+  let row ?prefix mode w st =
+    ( prefix,
+      (col "mode" mode :: col "workers" (string_of_int w) :: farm_cells st)
+      @ [ col "corpus" (string_of_int (List.length st.Farm.fs_corpus)) ] )
   in
-  Support.Tab.print
-    ~title:
-      (Printf.sprintf
-         "process farm, program %s (%d execs, sync every 50, resume from %d)"
-         p.Workloads.Profile.name execs ck.Farm.Orch.ck_next)
-    ~header:
-      [ "mode"; "workers"; "wall s"; "execs/s"; "coverage"; "pruned"; "corpus" ]
-    (List.map
-       (fun (mode, w, st, secs) ->
-         [
-           mode;
-           string_of_int w;
-           Printf.sprintf "%.2f" secs;
-           Printf.sprintf "%.0f" (float_of_int st.Farm.fs_execs /. max 1e-9 secs);
-           Printf.sprintf "%d/%d"
-             (List.length st.Farm.fs_coverage)
-             st.Farm.fs_total_probes;
-           string_of_int (List.length st.Farm.fs_pruned);
-           string_of_int (List.length st.Farm.fs_corpus);
-         ])
-       rows);
-  (* the correctness bar: every run above — either substrate, any
-     worker count, checkpointed or resumed — must report the same
-     logical outcome *)
+  (* the correctness bar: every run — either substrate, any worker
+     count, checkpointed or resumed — reports the same logical outcome *)
   let signature st =
     ( st.Farm.fs_coverage,
       st.Farm.fs_pruned,
@@ -1461,92 +1223,45 @@ let farm_proc cfg =
       st.Farm.fs_execs,
       st.Farm.fs_total_cycles )
   in
-  let base = signature dom in
-  let identical =
-    List.for_all (fun (_, _, st, _) -> signature st = base) rows
-  in
-  Printf.printf
-    "  identical (coverage, pruned, corpus, execs, cycles) across \
-     substrates, worker counts and resume: %s\n"
-    (if identical then "yes" else "NO — BUG");
-  Printf.printf "  checkpoints published: %d; resume re-ran %d of %d execs\n"
-    checkpoints (execs - ck.Farm.Orch.ck_next) execs;
-  let proc2_s =
-    match List.assoc_opt 2 results with
-    | Some (_, s) -> s
-    | None -> nan
-  in
-  emit ~section:"farm_proc"
-    (List.concat_map
-       (fun (w, (st, secs)) ->
-         let pre = Printf.sprintf "w%d." w in
-         [
-           Snap.metric ~unit_:"s" ~cls:Snap.Wall (pre ^ "wall_s") secs;
-           Snap.metric ~cls:Snap.Exact (pre ^ "execs")
-             (float_of_int st.Farm.fs_execs);
-           Snap.metric ~unit_:"cycles" ~cls:Snap.Exact (pre ^ "total_cycles")
-             (float_of_int st.Farm.fs_total_cycles);
-           Snap.metric ~cls:Snap.Exact (pre ^ "coverage")
-             (float_of_int (List.length st.Farm.fs_coverage));
-           Snap.metric ~cls:Snap.Exact (pre ^ "pruned")
-             (float_of_int (List.length st.Farm.fs_pruned));
-           Snap.metric ~cls:Snap.Exact (pre ^ "exchanged")
-             (float_of_int st.Farm.fs_exchanged);
-         ])
-       results
-    @ [
-        Snap.metric ~unit_:"s" ~cls:Snap.Wall "domains_w2.wall_s" dom_s;
-        Snap.metric ~unit_:"s" ~cls:Snap.Wall "ckpt_w2.wall_s" ckpt_s;
-        Snap.metric ~unit_:"s" ~cls:Snap.Wall "resume_tail.wall_s" resume_s;
-        Snap.metric ~unit_:"%" ~cls:Snap.Wall "supervision_overhead_pct"
-          ((proc2_s -. dom_s) /. max 1e-9 dom_s *. 100.);
-        Snap.metric ~cls:Snap.Exact "checkpoints_published"
-          (float_of_int checkpoints);
-        Snap.metric ~cls:Snap.Exact "resume_from_exec"
-          (float_of_int ck.Farm.Orch.ck_next);
-        Snap.metric ~cls:Snap.Exact "invariant_all_runs"
-          (if identical then 1. else 0.);
-      ])
+  let runs = (dom :: List.map snd results) @ [ ckpt_st; resumed ] in
+  publish ~section:"farm_proc"
+    ~tables:
+      [
+        ( Printf.sprintf
+            "process farm, program %s (%d execs, sync every 50, resume from %d)"
+            p.Workloads.Profile.name execs ck.Farm.Orch.ck_next,
+          (row "domains" 2 dom
+          :: List.map
+               (fun (w, st) -> row ~prefix:(Printf.sprintf "w%d." w) "procs" w st)
+               results)
+          @ [ row "procs+ckpt" 2 ckpt_st; row "resume tail" 2 resumed ] );
+      ]
+    [
+      check ~name:"invariant_all_runs"
+        "identical (coverage, pruned, corpus, execs, cycles) across \
+         substrates, worker counts and resume"
+        (List.for_all (fun st -> signature st = signature dom) runs);
+      count ~col:"checkpoints published" "checkpoints_published" checkpoints;
+      count ~col:"resumed from exec" "resume_from_exec" ck.Farm.Orch.ck_next;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Mutation testing: kill-matrix campaigns by probe toggling           *)
 (* ------------------------------------------------------------------ *)
 
-(** The amortization headline (the reason mutation testing rides on
-    Odin's machinery at all): a campaign of hundreds of mutants over
-    the scaled-up sqlite workload performs exactly one full
-    compile+link; arming each mutant afterwards is a probe toggle
-    served by an O(changed) schedule pass and an incremental relink.
-    Checked live: [full_links = initial_links] and
-    [incr_links >= mutants]. The naive alternative — one full build per
-    mutant — is priced with the measured full-build time of the same
-    target. A smaller campaign then re-runs with 1/2/4 workers on both
-    farm substrates and the merged kill matrices are compared
-    bit-for-bit. *)
+(** The amortization bar (the reason mutation testing rides on Odin's
+    machinery at all): a campaign of hundreds of mutants over sqlite-xl
+    performs exactly one full compile+link; arming each mutant
+    afterwards is a probe toggle served by an O(changed) schedule pass
+    and an incremental relink. Checked live:
+    [full_links = initial_links] and [incr_links >= mutants]. Its wall
+    time is bench/e2e's mutate-xl workload. A smaller campaign then
+    re-runs with 1/2/4 workers on both farm substrates and the merged
+    kill matrices are compared bit-for-bit. *)
 let mutate_bench _cfg =
   print_endline "\n== Mutation testing (kill matrix by probe toggling) ==";
-  let xlarge =
-    {
-      (Workloads.Profile.find_exn "sqlite") with
-      Workloads.Profile.name = "sqlite-xl";
-      n_helpers = 400;
-      n_tiny = 200;
-      n_parsers = 24;
-    }
-  in
   let n_mutants = if !quick_mode then 100 else 500 in
-  let suite = Workloads.Generate.seed_inputs ~count:3 xlarge in
-  (* price the strawman: one full build of the same target *)
-  let t_build =
-    let m = Workloads.Generate.compile xlarge in
-    let session =
-      Odin.Session.create ~keep:[ entry ]
-        ~host:Workloads.Generate.host_functions m
-    in
-    let t0 = Unix.gettimeofday () in
-    ignore (Odin.Session.build session);
-    Unix.gettimeofday () -. t0
-  in
+  let suite = Workloads.Generate.seed_inputs ~count:3 sqlite_xl in
   let mcfg =
     {
       Mutate.Analysis.default_config with
@@ -1554,55 +1269,19 @@ let mutate_bench _cfg =
       mc_chunk = 32;
     }
   in
-  let t0 = Unix.gettimeofday () in
   let matrix, stats =
-    Mutate.Analysis.run ~entry ~suite mcfg (Workloads.Generate.compile xlarge)
+    Mutate.Analysis.run ~entry ~suite mcfg (Workloads.Generate.compile sqlite_xl)
   in
-  let wall = Unix.gettimeofday () -. t0 in
-  Support.Tab.print
-    ~title:
-      (Printf.sprintf "mutation campaign, program %s (%d mutants x %d tests)"
-         xlarge.Workloads.Profile.name matrix.Mutate.Analysis.m_generated
-         matrix.Mutate.Analysis.m_tests)
-    ~header:
-      [ "mutants"; "killed"; "survived"; "timeout"; "score %"; "full links";
-        "incr relinks"; "wall s" ]
-    [
-      [
-        string_of_int matrix.Mutate.Analysis.m_generated;
-        string_of_int matrix.Mutate.Analysis.m_killed;
-        string_of_int matrix.Mutate.Analysis.m_survived;
-        string_of_int matrix.Mutate.Analysis.m_timeout;
-        Printf.sprintf "%.1f" matrix.Mutate.Analysis.m_score;
-        string_of_int stats.Mutate.Analysis.s_full_links;
-        string_of_int stats.Mutate.Analysis.s_incr_links;
-        Printf.sprintf "%.2f" wall;
-      ];
-    ];
-  (* the amortization bar, checked live: the campaign's only full link
-     is the initial build, and every mutant was served incrementally *)
   let amortized =
     stats.Mutate.Analysis.s_full_links = stats.Mutate.Analysis.s_initial_links
     && stats.Mutate.Analysis.s_incr_links >= matrix.Mutate.Analysis.m_generated
   in
-  Printf.printf
-    "  one compile, rest toggles (full %d = initial %d; incr %d >= %d \
-     mutants): %s\n"
-    stats.Mutate.Analysis.s_full_links stats.Mutate.Analysis.s_initial_links
-    stats.Mutate.Analysis.s_incr_links matrix.Mutate.Analysis.m_generated
-    (if amortized then "yes" else "NO — BUG");
-  let modelled_full = float_of_int matrix.Mutate.Analysis.m_generated *. t_build in
-  Printf.printf
-    "  modelled naive cost (one %.2f s full build per mutant): %.1f s; \
-     measured campaign: %.1f s (%.1fx)\n"
-    t_build modelled_full wall
-    (modelled_full /. max 1e-9 wall);
   (* worker-count / substrate invariance on a smaller campaign: the
      merged kill matrix must be bit-identical for 1/2/4 domain workers
      and for supervised child processes *)
   let small = Workloads.Profile.find_exn "sqlite" in
   let ssuite = Workloads.Generate.seed_inputs ~count:3 small in
-  let run_small workers mode =
+  let run_small (nm, workers, mode) =
     let scfg =
       {
         Mutate.Analysis.default_config with
@@ -1613,71 +1292,63 @@ let mutate_bench _cfg =
         mc_worker_argv = Some [| Sys.executable_name; "mutate-worker" |];
       }
     in
-    let t0 = Unix.gettimeofday () in
     let mx, st =
       Mutate.Analysis.run ~entry ~suite:ssuite scfg
         (Workloads.Generate.compile small)
     in
-    (mx, st, Unix.gettimeofday () -. t0)
-  in
-  let variants =
-    [
-      ("domains", 1, Mutate.Analysis.Domains);
-      ("domains", 2, Mutate.Analysis.Domains);
-      ("domains", 4, Mutate.Analysis.Domains);
-      ("procs", 2, Mutate.Analysis.Procs);
-    ]
+    ( mx,
+      ( None,
+        [
+          col "mode" nm;
+          col "workers" (string_of_int workers);
+          col "score %" (Printf.sprintf "%.1f" mx.Mutate.Analysis.m_score);
+          col "incr relinks" (string_of_int st.Mutate.Analysis.s_incr_links);
+        ] ) )
   in
   let outs =
-    List.map (fun (nm, w, md) -> (nm, w, run_small w md)) variants
+    List.map run_small
+      [
+        ("domains", 1, Mutate.Analysis.Domains);
+        ("domains", 2, Mutate.Analysis.Domains);
+        ("domains", 4, Mutate.Analysis.Domains);
+        ("procs", 2, Mutate.Analysis.Procs);
+      ]
   in
-  Support.Tab.print
-    ~title:
-      (Printf.sprintf "substrate/worker invariance, program %s (60 mutants)"
-         small.Workloads.Profile.name)
-    ~header:[ "mode"; "workers"; "wall s"; "score %"; "incr relinks" ]
-    (List.map
-       (fun (nm, w, (mx, st, secs)) ->
-         [
-           nm;
-           string_of_int w;
-           Printf.sprintf "%.2f" secs;
-           Printf.sprintf "%.1f" mx.Mutate.Analysis.m_score;
-           string_of_int st.Mutate.Analysis.s_incr_links;
-         ])
-       outs);
-  let matrices = List.map (fun (_, _, (mx, _, _)) -> mx) outs in
-  let identical = List.for_all (fun mx -> mx = List.hd matrices) matrices in
-  Printf.printf
-    "  identical kill matrix across worker counts and substrates: %s\n"
-    (if identical then "yes" else "NO — BUG");
-  emit ~section:"mutate"
+  let matrices = List.map fst outs in
+  publish ~section:"mutate"
+    ~tables:
+      [
+        ( Printf.sprintf "mutation campaign, program %s (%d mutants x %d tests)"
+            sqlite_xl.Workloads.Profile.name matrix.Mutate.Analysis.m_generated
+            matrix.Mutate.Analysis.m_tests,
+          [
+            ( Some "",
+              [
+                count ~col:"mutants" "mutants" matrix.Mutate.Analysis.m_generated;
+                count "tests" matrix.Mutate.Analysis.m_tests;
+                count ~col:"killed" "killed" matrix.Mutate.Analysis.m_killed;
+                count ~col:"survived" "survived" matrix.Mutate.Analysis.m_survived;
+                count ~col:"timeout" "timeout" matrix.Mutate.Analysis.m_timeout;
+                real ~col:"score %" ~fmt:"%.1f" ~unit_:"%" ~cls:Snap.Exact "score"
+                  matrix.Mutate.Analysis.m_score;
+                count ~col:"full links" "full_links" stats.Mutate.Analysis.s_full_links;
+                count ~col:"incr relinks" "incr_links" stats.Mutate.Analysis.s_incr_links;
+              ] );
+          ] );
+        ( Printf.sprintf "substrate/worker invariance, program %s (60 mutants)"
+            small.Workloads.Profile.name,
+          List.map snd outs );
+      ]
     [
-      Snap.metric ~cls:Snap.Exact "mutants"
-        (float_of_int matrix.Mutate.Analysis.m_generated);
-      Snap.metric ~cls:Snap.Exact "tests"
-        (float_of_int matrix.Mutate.Analysis.m_tests);
-      Snap.metric ~cls:Snap.Exact "killed"
-        (float_of_int matrix.Mutate.Analysis.m_killed);
-      Snap.metric ~cls:Snap.Exact "survived"
-        (float_of_int matrix.Mutate.Analysis.m_survived);
-      Snap.metric ~cls:Snap.Exact "timeout"
-        (float_of_int matrix.Mutate.Analysis.m_timeout);
-      Snap.metric ~unit_:"%" ~cls:Snap.Exact "score"
-        matrix.Mutate.Analysis.m_score;
-      Snap.metric ~cls:Snap.Exact "full_links"
-        (float_of_int stats.Mutate.Analysis.s_full_links);
-      Snap.metric ~cls:Snap.Exact "incr_links"
-        (float_of_int stats.Mutate.Analysis.s_incr_links);
-      Snap.metric ~unit_:"s" ~cls:Snap.Wall "campaign_wall_s" wall;
-      Snap.metric ~unit_:"s" ~cls:Snap.Wall "full_build_s" t_build;
-      Snap.metric ~unit_:"s" ~cls:Snap.Wall "modelled_naive_s" modelled_full;
-      Snap.metric ~unit_:"ratio" ~cls:Snap.Info "amortization_speedup"
-        (modelled_full /. max 1e-9 wall);
-      Snap.metric ~cls:Snap.Exact "amortized"
-        (if amortized then 1. else 0.);
-      Snap.metric ~cls:Snap.Exact "invariant_across_workers"
-        (if identical then 1. else 0.);
+      check ~name:"amortized"
+        (Printf.sprintf
+           "one compile, rest toggles (full %d = initial %d; incr %d >= %d mutants)"
+           stats.Mutate.Analysis.s_full_links stats.Mutate.Analysis.s_initial_links
+           stats.Mutate.Analysis.s_incr_links matrix.Mutate.Analysis.m_generated)
+        amortized;
+      check ~name:"invariant_across_workers"
+        "identical kill matrix across worker counts and substrates"
+        (List.for_all (fun mx -> mx = List.hd matrices) matrices);
     ]
 
 (* ------------------------------------------------------------------ *)

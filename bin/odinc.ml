@@ -10,7 +10,7 @@
                          [--farm-mode domains|procs] [--tests N]
                          [--max-steps N] [--deadline SECS]
                          [--checkpoint FILE [--resume]] [--journal FILE]
-     odinc bench-diff BASELINE CURRENT [--ignore CLASS]
+     odinc bench-diff BASELINE CURRENT [--require-baseline]
      odinc report JOURNAL [--top N]
      odinc workload NAME          (print a generated benchmark program)
 
@@ -23,8 +23,10 @@
    events as CSV) and --span-limit N (span retention bound for long
    campaigns; counters stay exact).
 
-   bench-diff compares BENCH_*.json perf snapshots (see bench/main.exe
-   --out-dir) with per-class tolerances and exits 1 on regression;
+   bench-diff compares BENCH_*.json snapshots (see bench/main.exe
+   --out-dir) with per-class tolerances (exact: any drift fails; cost:
+   warn over +2%, fail over +10%; info: never gates) and exits 1 on
+   regression; wall-clock time is bench/e2e's, not a snapshot class;
    report renders a farm's flight-recorder journal (--journal) as an
    AFL-style status screen plus a per-probe cost-attribution heatmap.
 *)
@@ -797,18 +799,6 @@ let bench_diff_cmd =
       & info [] ~docv:"CURRENT"
           ~doc:"Current snapshot file or directory to gate.")
   in
-  let cls_conv =
-    Arg.enum [ ("exact", Snap.Exact); ("cost", Snap.Cost); ("wall", Snap.Wall) ]
-  in
-  let ignore_cls =
-    Arg.(
-      value & opt_all cls_conv []
-      & info [ "ignore" ] ~docv:"CLASS"
-          ~doc:
-            "Exempt a whole tolerance class (exact|cost|wall) from gating; \
-             repeatable. CI gates committed baselines across machines with \
-             $(b,--ignore wall) — wall-clock only gates on a fixed host.")
-  in
   let verbose =
     Arg.(
       value & flag
@@ -824,7 +814,7 @@ let bench_diff_cmd =
              default such a section passes with a note, so a new bench \
              section can land before its committed baseline.")
   in
-  let run baseline current ignore_cls verbose require_baseline =
+  let run baseline current verbose require_baseline =
     (* directory mode pairs the *union* of both sides' snapshot names:
        baseline-only -> the current run lost a section (always a
        failure); current-only -> a new section with no baseline yet
@@ -855,14 +845,7 @@ let bench_diff_cmd =
       end
       else [ (Some baseline, current, Filename.basename baseline) ]
     in
-    let ign =
-      match ignore_cls with
-      | [] -> ""
-      | l ->
-        Printf.sprintf " (ignoring: %s)"
-          (String.concat ", " (List.map Snap.cls_to_string l))
-    in
-    Printf.printf "== bench-diff: %s vs %s%s ==\n" baseline current ign;
+    Printf.printf "== bench-diff: %s vs %s ==\n" baseline current;
     let n_warn = ref 0 and n_fail = ref 0 and n_metrics = ref 0 in
     List.iter
       (fun (bpath, cpath, name) ->
@@ -901,10 +884,7 @@ let bench_diff_cmd =
               Printf.eprintf "odinc: %s: %s\n" cpath msg;
               exit 2
             | Ok cur ->
-              let entries =
-                Snap.diff ~ignore_classes:ignore_cls ~baseline:base
-                  ~current:cur ()
-              in
+              let entries = Snap.diff ~baseline:base ~current:cur () in
               n_metrics := !n_metrics + List.length entries;
               Printf.printf "%-24s %s  (%d metrics, section %s)\n" name
                 (verdict_str (Snap.worst entries))
@@ -946,7 +926,7 @@ let bench_diff_cmd =
          "Compare benchmark snapshots with per-class tolerances; exit 1 on \
           regression.")
     Term.(
-      const run $ baseline $ current $ ignore_cls $ verbose $ require_baseline)
+      const run $ baseline $ current $ verbose $ require_baseline)
 
 (* ---------------- report (flight-recorder journal) ---------------- *)
 

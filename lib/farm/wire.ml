@@ -656,22 +656,21 @@ let recv rd =
   go ()
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint file                                                     *)
+(* Frame files: the farm and mutation checkpoints                      *)
 (* ------------------------------------------------------------------ *)
 
-(** Atomically publish [ck] at [path] (tmp + rename via
-    {!Support.Fsio}), first rotating any existing checkpoint to
-    [path.prev] — so at every instant at least one of the two holds a
-    complete checkpoint. Fault site ["farm.checkpoint"]: an injected
-    fault skips the write (returns [false]); the torn kind leaves a
-    truncated frame at the final path, which {!load_checkpoint}
-    detects and falls back from. *)
-let write_checkpoint path ck =
+(** Atomically publish [msg] at [path] (tmp + rename via
+    {!Support.Fsio}), first rotating any existing file to [path.prev] —
+    so at every instant at least one of the two holds a complete frame.
+    Fault site ["farm.checkpoint"]: an injected fault skips the write
+    (returns [false]); the torn kind leaves a truncated frame at the
+    final path, which {!load_frame_file} detects and falls back from. *)
+let write_frame_file path msg =
   match Support.Fault.hit "farm.checkpoint" with
   | () ->
     if Sys.file_exists path then
       (try Sys.rename path (path ^ ".prev") with Sys_error _ -> ());
-    let data = encode_frame (Checkpoint ck) in
+    let data = encode_frame msg in
     if Support.Fault.torn "farm.checkpoint" then begin
       (* simulated kill mid-publish on a non-atomic filesystem *)
       let oc = open_out_bin path in
@@ -686,64 +685,33 @@ let write_checkpoint path ck =
   | exception (Support.Fault.Injected _ | Support.Fault.Transient_fault _) ->
     false
 
+(* [read path], falling back to [read (path ^ ".prev")] when it raises
+   {!Wire_error} or [Sys_error]; [(v, fallback_used)]. *)
+let load_with ~what read path =
+  match read path with
+  | v -> Ok (v, false)
+  | exception (Wire_error _ | Sys_error _) -> (
+    match read (path ^ ".prev") with
+    | v -> Ok (v, true)
+    | exception (Wire_error _ | Sys_error _) ->
+      Error (Printf.sprintf "no valid %s at %s or %s.prev" what path path))
+
+let load_frame_file =
+  load_with ~what:"frame" (fun p -> decode_frame (Support.Fsio.read_file p))
+
+let write_checkpoint path ck = write_frame_file path (Checkpoint ck)
+
 (** Read and validate the checkpoint at exactly [path]. Raises
-    {!Wire_error} on a torn/corrupt/mismatched file, [Sys_error] if
-    unreadable. *)
+    {!Wire_error} on a torn/corrupt/mismatched file or a frame that is
+    not a checkpoint, [Sys_error] if unreadable. *)
 let read_checkpoint path =
   match decode_frame (Support.Fsio.read_file path) with
   | Checkpoint ck -> ck
   | _ -> fail "not a checkpoint frame: %s" path
 
-(** Load [path], falling back to [path.prev] when the primary is
-    missing or torn. Returns the checkpoint and whether the fallback
-    was used. *)
-let load_checkpoint path =
-  match read_checkpoint path with
-  | ck -> Ok (ck, false)
-  | exception (Wire_error _ | Sys_error _) -> (
-    match read_checkpoint (path ^ ".prev") with
-    | ck -> Ok (ck, true)
-    | exception (Wire_error _ | Sys_error _) ->
-      Error (Printf.sprintf "no valid checkpoint at %s or %s.prev" path path))
-
-(* ------------------------------------------------------------------ *)
-(* Generic frame files (satellite checkpoints)                         *)
-(* ------------------------------------------------------------------ *)
-
-(** Atomically publish any frame (in practice a {!Blob}) at [path] with
-    the same [.prev] rotation and torn-write discipline as
-    {!write_checkpoint}; the mutation campaign's checkpoint file.
-    Shares the ["farm.checkpoint"] fault site. *)
-let write_frame_file path msg =
-  match Support.Fault.hit "farm.checkpoint" with
-  | () ->
-    if Sys.file_exists path then
-      (try Sys.rename path (path ^ ".prev") with Sys_error _ -> ());
-    let data = encode_frame msg in
-    if Support.Fault.torn "farm.checkpoint" then begin
-      let oc = open_out_bin path in
-      output_string oc (String.sub data 0 (String.length data / 2));
-      close_out oc;
-      true
-    end
-    else begin
-      Support.Fsio.write_atomic path data;
-      true
-    end
-  | exception (Support.Fault.Injected _ | Support.Fault.Transient_fault _) ->
-    false
-
-(** Load the frame at [path], falling back to [path.prev] when the
-    primary is missing or torn; [(msg, fallback_used)]. *)
-let load_frame_file path =
-  let read p = decode_frame (Support.Fsio.read_file p) in
-  match read path with
-  | m -> Ok (m, false)
-  | exception (Wire_error _ | Sys_error _) -> (
-    match read (path ^ ".prev") with
-    | m -> Ok (m, true)
-    | exception (Wire_error _ | Sys_error _) ->
-      Error (Printf.sprintf "no valid frame at %s or %s.prev" path path))
+(* a primary holding a valid frame that is not a checkpoint falls back
+   to [.prev] like a torn one *)
+let load_checkpoint = load_with ~what:"checkpoint" read_checkpoint
 
 (* ------------------------------------------------------------------ *)
 (* Exported codec primitives                                           *)

@@ -118,32 +118,31 @@ val feed : reader -> [ `Eof | `Read of int ]
     the worker side's main loop. *)
 val recv : reader -> msg
 
-(** Atomically publish a checkpoint (tmp + rename), first rotating any
-    existing file to [path.prev] — at every instant at least one of the
-    two holds a complete checkpoint. Returns [false] when the
-    ["farm.checkpoint"] fault site suppressed the write. *)
-val write_checkpoint : string -> Orch.ckpt -> bool
-
-(** Read and validate the checkpoint at exactly [path]. Raises
-    {!Wire_error} on a torn/corrupt/mismatched file, [Sys_error] if
-    unreadable. *)
-val read_checkpoint : string -> Orch.ckpt
-
-(** Load [path], falling back to [path.prev] when the primary is
-    missing or torn. Returns the checkpoint and whether the fallback
-    was used. *)
-val load_checkpoint : string -> (Orch.ckpt * bool, string) result
-
-(** Atomically publish any frame (in practice a {!Blob}) at [path] with
-    the same [.prev] rotation and torn-write discipline as
-    {!write_checkpoint} — the mutation campaign's checkpoint file.
-    Shares the ["farm.checkpoint"] fault site; [false] when a fault
-    suppressed the write. *)
+(** Atomically publish any frame at [path] (tmp + rename), first
+    rotating any existing file to [path.prev] — at every instant at
+    least one of the two holds a complete frame. Returns [false] when
+    the ["farm.checkpoint"] fault site suppressed the write; its torn
+    kind leaves a truncated frame that {!load_frame_file} falls back
+    from. The farm checkpoint and the mutation campaign's (a {!Blob})
+    are both published here. *)
 val write_frame_file : string -> msg -> bool
 
 (** Load the frame at [path], falling back to [path.prev] when the
     primary is missing or torn; [(msg, fallback_used)]. *)
 val load_frame_file : string -> (msg * bool, string) result
+
+(** {!write_frame_file} of a {!Checkpoint} frame. *)
+val write_checkpoint : string -> Orch.ckpt -> bool
+
+(** Read and validate the checkpoint at exactly [path]. Raises
+    {!Wire_error} on a torn/corrupt/mismatched file or a frame that is
+    not a checkpoint, [Sys_error] if unreadable. *)
+val read_checkpoint : string -> Orch.ckpt
+
+(** Load [path], falling back to [path.prev] when the primary is
+    missing, torn or not a checkpoint. Returns the checkpoint and
+    whether the fallback was used. *)
+val load_checkpoint : string -> (Orch.ckpt * bool, string) result
 
 (** The scalar codec primitives, exported so satellite protocols riding
     the {!Blob} envelope encode their payloads with the same

@@ -182,8 +182,6 @@ let cross_hits oc = Atomic.get oc.oc_cross_hits
 (** Lock acquisitions that found their shard's mutex held. *)
 let shard_waits oc = Atomic.get oc.oc_waits
 
-let cache_shards oc = Array.length oc.oc_shards
-
 let cache_evictions oc =
   Array.fold_left
     (fun acc cs -> acc + Support.Lru.evictions cs.cs_lru)
@@ -244,13 +242,12 @@ type t = {
   degraded : (int, unit) Hashtbl.t;
       (** fragments currently serving a stale/pristine object; they are
           force-scheduled (re-healed) on every refresh until clean *)
-  mutable max_retries : int;  (** bounded retries for transient faults *)
-  mutable job_timeout : float option;
+  max_retries : int;  (** bounded retries for transient faults *)
+  job_timeout : float option;
       (** cooperative per-fragment watchdog (seconds); an overrunning
           compile job is marked degraded instead of stalling the join *)
   mutable rollback_count : int;
   mutable degrade_count : int;  (** total fragment degradations ever *)
-  mutable last_outcome : rebuild_outcome;
   telemetry : Telemetry.Recorder.t;
       (** spans/counters for every build; the timing source of [events] *)
 }
@@ -392,7 +389,6 @@ let create ?(mode = Partition.Auto) ?(copy_on_use = true) ?(keep = [ "main" ])
     job_timeout;
     rollback_count = 0;
     degrade_count = 0;
-    last_outcome = Ok;
     telemetry;
   }
 
@@ -400,12 +396,6 @@ let create ?(mode = Partition.Auto) ?(copy_on_use = true) ?(keep = [ "main" ])
     rebuild; cached objects compiled under the old setting are not
     reused (the bound is part of the cache key). *)
 let set_opt_rounds t rounds = t.opt_rounds <- max 0 rounds
-
-(** Change the bounded-retry count for transient fragment faults. *)
-let set_max_retries t n = t.max_retries <- max 0 n
-
-(** Arm/disarm the cooperative per-fragment compile watchdog. *)
-let set_job_timeout t timeout = t.job_timeout <- timeout
 
 (* ------------------------------------------------------------------ *)
 (* Tiered compilation                                                  *)
@@ -539,9 +529,6 @@ let tier_stats t =
     ts_promotions = t.promotion_count;
     ts_osr_migrations = t.osr_migrations;
   }
-
-(** Replace all patch logic with [patcher]. *)
-let set_patcher t patcher = t.patchers <- [ patcher ]
 
 (** Register an additional instrumentation scheme's patch logic; all
     registered patchers run (in registration order) on every rebuild. *)
@@ -790,7 +777,6 @@ let rebuild (sched : sched) =
     t.rollback_count <- t.rollback_count + 1;
     Telemetry.Recorder.count some_r "session.rebuild_rollbacks";
     (* probe changes are NOT cleared: the next refresh retries them *)
-    t.last_outcome <- Rolled_back err;
     Rolled_back err
   in
   let rebuild_sp =
@@ -1184,11 +1170,7 @@ let rebuild (sched : sched) =
       }
     in
     t.events <- event :: t.events;
-    let outcome =
-      match degraded_now with [] -> Ok | fids -> Degraded fids
-    in
-    t.last_outcome <- outcome;
-    outcome)
+    match degraded_now with [] -> Ok | fids -> Degraded fids)
 
 (** Initial build, transactional: schedule every fragment and build the
     executable, reporting the outcome instead of raising. *)
@@ -1265,9 +1247,6 @@ let executable t =
 
 let events t = List.rev t.events
 
-let total_compile_time t =
-  List.fold_left (fun acc e -> acc +. e.ev_compile_time) 0. t.events
-
 let fragment_sizes t =
   Array.to_list t.plan.Partition.fragments
   |> List.map (fun (f : Partition.fragment) ->
@@ -1282,9 +1261,6 @@ let rollbacks t = t.rollback_count
 
 (** Total fragment degradations over the session's lifetime. *)
 let degrade_total t = t.degrade_count
-
-(** Outcome of the most recent build/refresh ([Ok] before the first). *)
-let last_outcome t = t.last_outcome
 
 (** Persistent-store statistics, when [cache_dir] was given. *)
 let store_stats t = Option.map Support.Objstore.stats t.store

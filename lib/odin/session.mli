@@ -121,8 +121,6 @@ val cross_hits : object_cache -> int
     [session.cache_shard_waits] counter. *)
 val shard_waits : object_cache -> int
 
-val cache_shards : object_cache -> int
-
 (** Total LRU evictions across all shards. *)
 val cache_evictions : object_cache -> int
 
@@ -179,11 +177,10 @@ type t = {
   degraded : (int, unit) Hashtbl.t;
       (** fragments serving a stale/pristine object; force-scheduled
           (re-healed) on every refresh until they compile cleanly *)
-  mutable max_retries : int;
-  mutable job_timeout : float option;
+  max_retries : int;
+  job_timeout : float option;
   mutable rollback_count : int;
   mutable degrade_count : int;
-  mutable last_outcome : rebuild_outcome;
   telemetry : Telemetry.Recorder.t;
       (** every build/refresh records schedule → patch → per-fragment
           materialize/verify/optimize/codegen → link spans here; export
@@ -277,12 +274,6 @@ val create :
     the old setting are never reused. *)
 val set_opt_rounds : t -> int -> unit
 
-(** Change the bounded-retry count for transient fragment faults. *)
-val set_max_retries : t -> int -> unit
-
-(** Arm/disarm the cooperative per-fragment compile watchdog (seconds). *)
-val set_job_timeout : t -> float option -> unit
-
 (** Whether this session compiles freshly changed fragments through the
     tier-0 baseline backend. *)
 val tiered : t -> bool
@@ -335,9 +326,6 @@ type tier_stats = {
 }
 
 val tier_stats : t -> tier_stats
-
-(** Replace all patch logic (applies active probes to [sched.temp]). *)
-val set_patcher : t -> (sched -> unit) -> unit
 
 (** Register an additional scheme's patch logic; registered patchers
     compose and all run on every rebuild. *)
@@ -395,8 +383,6 @@ val executable : t -> Link.Linker.exe
 (** All recompile events, oldest first. *)
 val events : t -> recompile_event list
 
-val total_compile_time : t -> float
-
 (** (fragment id, number of member symbols) for every fragment. *)
 val fragment_sizes : t -> (int * int) list
 
@@ -408,9 +394,6 @@ val rollbacks : t -> int
 
 (** Total fragment degradations over the session's lifetime. *)
 val degrade_total : t -> int
-
-(** Outcome of the most recent build/refresh ([Ok] before the first). *)
-val last_outcome : t -> rebuild_outcome
 
 (** Persistent-store statistics, when [cache_dir] was given. *)
 val store_stats : t -> Support.Objstore.stats option

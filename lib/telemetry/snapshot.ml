@@ -11,35 +11,35 @@
     - {!Cost} — modelled or derived quantities with small legitimate
       jitter (per-barrier averages over a sampled run). Small drift
       warns, larger drift fails.
-    - {!Wall} — host wall-clock measurements. Meaningful on one machine
-      across commits, noisy across machines; warn/fail bands are wider
-      and gates typically run with [--ignore wall] on shared CI.
     - {!Info} — context (worker counts, program sizes): never gates.
+
+    There is no wall-clock class: host wall time does not hold across
+    machines, so it is not gated against committed baselines. The
+    wall-clock benchmark is [bench/e2e], which judges paired runs of two
+    commits on one host.
 
     Documents are published with {!Support.Fsio.write_atomic}, so a
     killed bench run never leaves a truncated snapshot. *)
 
 let schema_version = 1
 
-type cls = Exact | Cost | Wall | Info
+type cls = Exact | Cost | Info
 
 let cls_to_string = function
   | Exact -> "exact"
   | Cost -> "cost"
-  | Wall -> "wall"
   | Info -> "info"
 
 let cls_of_string = function
   | "exact" -> Some Exact
   | "cost" -> Some Cost
-  | "wall" -> Some Wall
   | "info" -> Some Info
   | _ -> None
 
 type metric = {
   m_name : string;
   m_value : float;
-  m_unit : string;  (** "ms", "cycles", "count", "ratio", "percent", ... *)
+  m_unit : string;  (** "count", "cycles", "cost", "ratio", "%", ... *)
   m_class : cls;
 }
 
@@ -226,14 +226,10 @@ type verdict = Pass | Warn | Fail
 type tolerances = {
   tol_cost_warn : float;  (** relative drift, e.g. 0.02 = 2% *)
   tol_cost_fail : float;
-  tol_wall_warn : float;
-  tol_wall_fail : float;
 }
 
-(** Cost: warn over 2%, fail over 10%. Wall: warn over 10%, fail over
-    15% — a 20% wall-time regression always fails. *)
-let default_tolerances =
-  { tol_cost_warn = 0.02; tol_cost_fail = 0.10; tol_wall_warn = 0.10; tol_wall_fail = 0.15 }
+(** Cost: warn over 2%, fail over 10%. *)
+let default_tolerances = { tol_cost_warn = 0.02; tol_cost_fail = 0.10 }
 
 type entry = {
   d_name : string;
@@ -251,9 +247,9 @@ let rel_delta base cur =
   else if Float.abs base < 1e-12 then Float.infinity *. Float.of_int (compare cur base)
   else (cur -. base) /. Float.abs base
 
-(** Compare one metric pair. Regressions are {e increases} for wall and
-    cost classes (all gated wall/cost metrics are durations or modelled
-    costs — lower is better); improvements pass with a note. Exact
+(** Compare one metric pair. Regressions are {e increases} for the cost
+    class (every gated cost metric is a modelled cost — lower is
+    better); improvements pass with a note. Exact
     metrics fail on any change, in either direction: an unexplained
     "improvement" in a deterministic counter is a behavior change that
     must be reviewed and baselined, not silently absorbed. *)
@@ -265,12 +261,8 @@ let diff_metric ?(tol = default_tolerances) (base : metric) (cur : metric) =
     | Exact ->
       if base.m_value = cur.m_value then (Pass, "")
       else (Fail, "exact metric drifted")
-    | Cost | Wall ->
-      let warn_t, fail_t =
-        match base.m_class with
-        | Cost -> (tol.tol_cost_warn, tol.tol_cost_fail)
-        | _ -> (tol.tol_wall_warn, tol.tol_wall_fail)
-      in
+    | Cost ->
+      let warn_t = tol.tol_cost_warn and fail_t = tol.tol_cost_fail in
       if delta > fail_t then (Fail, Printf.sprintf "over +%.0f%%" (100. *. fail_t))
       else if delta > warn_t then (Warn, Printf.sprintf "over +%.0f%%" (100. *. warn_t))
       else if delta < -.warn_t then (Pass, "improved")
@@ -287,30 +279,16 @@ let diff_metric ?(tol = default_tolerances) (base : metric) (cur : metric) =
     d_note = note;
   }
 
-(** Diff two snapshots of the same section. [ignore_classes] drops the
-    listed classes from gating entirely (CI compares committed baselines
-    across machines with [~ignore_classes:[Wall]]). A metric present in
-    the baseline but missing from the current run fails — silently
-    dropping a gated metric must not pass the gate; new metrics pass
-    with a note. *)
-let diff ?(tol = default_tolerances) ?(ignore_classes = []) ~baseline ~current () =
-  let ignored m = List.mem m.m_class ignore_classes in
+(** Diff two snapshots of the same section. A metric present in the
+    baseline but missing from the current run fails — silently dropping
+    a gated metric must not pass the gate; new metrics pass with a
+    note. *)
+let diff ?(tol = default_tolerances) ~baseline ~current () =
   let entries =
     List.map
       (fun bm ->
         match find current bm.m_name with
-        | Some cm when not (ignored bm) -> diff_metric ~tol bm cm
-        | Some cm ->
-          {
-            d_name = bm.m_name;
-            d_class = bm.m_class;
-            d_unit = bm.m_unit;
-            d_base = Some bm.m_value;
-            d_cur = Some cm.m_value;
-            d_delta = rel_delta bm.m_value cm.m_value;
-            d_verdict = Pass;
-            d_note = "class ignored";
-          }
+        | Some cm -> diff_metric ~tol bm cm
         | None ->
           {
             d_name = bm.m_name;
@@ -319,7 +297,7 @@ let diff ?(tol = default_tolerances) ?(ignore_classes = []) ~baseline ~current (
             d_base = Some bm.m_value;
             d_cur = None;
             d_delta = 0.;
-            d_verdict = (if ignored bm || bm.m_class = Info then Pass else Fail);
+            d_verdict = (if bm.m_class = Info then Pass else Fail);
             d_note = "metric missing from current";
           })
       baseline.s_metrics

@@ -7,9 +7,9 @@ val schema_version : int
 
 (** How much drift the diff engine tolerates for a metric:
     [Exact] — none (deterministic counters); [Cost] — small (modelled
-    or lightly sampled quantities); [Wall] — wide bands (host
-    wall-clock); [Info] — never gates. *)
-type cls = Exact | Cost | Wall | Info
+    or lightly sampled quantities); [Info] — never gates. Host
+    wall-clock time has no class: bench/e2e measures it. *)
+type cls = Exact | Cost | Info
 
 val cls_to_string : cls -> string
 val cls_of_string : string -> cls option
@@ -65,14 +65,9 @@ val read : string -> (t, string) result
 
 type verdict = Pass | Warn | Fail
 
-type tolerances = {
-  tol_cost_warn : float;
-  tol_cost_fail : float;
-  tol_wall_warn : float;
-  tol_wall_fail : float;
-}
+type tolerances = { tol_cost_warn : float; tol_cost_fail : float }
 
-(** cost 2%/10%, wall 10%/15% — a 20% wall regression always fails. *)
+(** cost: warn over 2%, fail over 10%. *)
 val default_tolerances : tolerances
 
 type entry = {
@@ -87,16 +82,8 @@ type entry = {
 }
 
 (** Compare [current] against [baseline], metric by metric. Missing
-    gated metrics fail; new metrics pass with a note; [ignore_classes]
-    exempts whole classes (CI uses [~ignore_classes:[Wall]] against
-    committed cross-machine baselines). *)
-val diff :
-  ?tol:tolerances ->
-  ?ignore_classes:cls list ->
-  baseline:t ->
-  current:t ->
-  unit ->
-  entry list
+    gated metrics fail; new metrics pass with a note. *)
+val diff : ?tol:tolerances -> baseline:t -> current:t -> unit -> entry list
 
 (** Most severe verdict in the list ([Pass] for an empty list). *)
 val worst : entry list -> verdict

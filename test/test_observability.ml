@@ -27,7 +27,6 @@ let sample_snapshot () =
   Snap.create ~section:"parallel"
     ~meta:[ ("git", "abc123def456"); ("jobs", "4"); ("mode", "quick") ]
     [
-      Snap.metric ~unit_:"ms" ~cls:Snap.Wall "jobs1.cold_ms" 12.5;
       Snap.metric ~unit_:"cycles" ~cls:Snap.Cost "jobs1.cost" 4096.;
       Snap.metric ~cls:Snap.Exact "jobs1.compiled_cold" 17.;
       Snap.metric "default_pool_size" 8.;
@@ -62,15 +61,25 @@ let test_snapshot_rejects_garbage () =
   in
   Alcotest.(check bool) "not json" true (bad "not json at all");
   Alcotest.(check bool) "wrong shape" true (bad "[1,2,3]");
-  Alcotest.(check bool) "missing fields" true (bad "{\"schema\":1}")
+  Alcotest.(check bool) "missing fields" true (bad "{\"schema\":1}");
+  (* host wall-clock is not a snapshot class: a wall metric is refused,
+     not gated *)
+  let doc cls =
+    Printf.sprintf
+      "{\"schema_version\":1,\"section\":\"t\",\"metrics\":[{\"name\":\"cold\",\
+       \"value\":12.5,\"unit\":\"ms\",\"class\":\"%s\"}]}"
+      cls
+  in
+  Alcotest.(check bool) "cost class parses" false (bad (doc "cost"));
+  Alcotest.(check bool) "wall class refused" true (bad (doc "wall"))
 
 (* ---------------- diff tolerance boundaries ---------------------------- *)
 
 let snap_of metrics = Snap.create ~section:"t" metrics
 
-let one_verdict ?ignore_classes base cur =
+let one_verdict base cur =
   let baseline = snap_of [ base ] and current = snap_of [ cur ] in
-  match Snap.diff ?ignore_classes ~baseline ~current () with
+  match Snap.diff ~baseline ~current () with
   | [ e ] -> e.Snap.d_verdict
   | es -> Alcotest.failf "expected one entry, got %d" (List.length es)
 
@@ -90,13 +99,8 @@ let test_diff_boundaries () =
   check "cost +1% passes" Snap.Pass (m Snap.Cost 100.) (m Snap.Cost 101.);
   check "cost +5% warns" Snap.Warn (m Snap.Cost 100.) (m Snap.Cost 105.);
   check "cost +15% fails" Snap.Fail (m Snap.Cost 100.) (m Snap.Cost 115.);
-  (* wall: warn over +10%, fail over +15% — the acceptance bar: a 20%
-     wall regression must gate *)
-  check "wall +5% passes" Snap.Pass (m Snap.Wall 100.) (m Snap.Wall 105.);
-  check "wall +12% warns" Snap.Warn (m Snap.Wall 100.) (m Snap.Wall 112.);
-  check "wall +20% fails" Snap.Fail (m Snap.Wall 100.) (m Snap.Wall 120.);
-  (* improvements pass for banded classes *)
-  check "wall -30% passes" Snap.Pass (m Snap.Wall 100.) (m Snap.Wall 70.);
+  (* improvements pass *)
+  check "cost -30% passes" Snap.Pass (m Snap.Cost 100.) (m Snap.Cost 70.);
   (* exact: any drift fails, either direction *)
   check "exact equal passes" Snap.Pass (m Snap.Exact 42.) (m Snap.Exact 42.);
   check "exact +1 fails" Snap.Fail (m Snap.Exact 42.) (m Snap.Exact 43.);
@@ -104,7 +108,7 @@ let test_diff_boundaries () =
   (* info never gates *)
   check "info 5x passes" Snap.Pass (m Snap.Info 10.) (m Snap.Info 50.);
   (* zero baseline: infinite drift still classifies *)
-  check "wall from zero fails" Snap.Fail (m Snap.Wall 0.) (m Snap.Wall 5.)
+  check "cost from zero fails" Snap.Fail (m Snap.Cost 0.) (m Snap.Cost 5.)
 
 let test_diff_missing_and_new () =
   let base = snap_of [ Snap.metric ~cls:Snap.Exact "gone" 1. ] in
@@ -120,21 +124,6 @@ let test_diff_missing_and_new () =
   let base_i = snap_of [ Snap.metric "fyi" 1. ] in
   let entries = Snap.diff ~baseline:base_i ~current:(snap_of []) () in
   Alcotest.check verdict "missing info metric passes" Snap.Pass
-    (Snap.worst entries)
-
-let test_diff_ignore_classes () =
-  let m cls v = Snap.metric ~cls "m" v in
-  Alcotest.check verdict "wall regression, wall ignored"
-    Snap.Pass
-    (one_verdict ~ignore_classes:[ Snap.Wall ] (m Snap.Wall 100.)
-       (m Snap.Wall 200.));
-  (* ignoring a class also exempts its missing metrics *)
-  let base = snap_of [ Snap.metric ~cls:Snap.Wall "w" 1. ] in
-  let entries =
-    Snap.diff ~ignore_classes:[ Snap.Wall ] ~baseline:base
-      ~current:(snap_of []) ()
-  in
-  Alcotest.check verdict "missing ignored metric passes" Snap.Pass
     (Snap.worst entries);
   Alcotest.check verdict "empty diff passes" Snap.Pass (Snap.worst [])
 
@@ -330,7 +319,6 @@ let () =
           Alcotest.test_case "tolerance boundaries" `Quick test_diff_boundaries;
           Alcotest.test_case "missing and new metrics" `Quick
             test_diff_missing_and_new;
-          Alcotest.test_case "ignore classes" `Quick test_diff_ignore_classes;
         ] );
       ( "journal",
         [
