@@ -613,7 +613,8 @@ let fuzz_cmd =
         ~host:[ "printf"; "puts" ] ~pool ?cache_dir ~telemetry:r m
     in
     let cov = Odin.Cov.setup session in
-    ignore (Odin.Session.build session);
+    (* recompile events, newest first: the session keeps only the last *)
+    let events = ref [ Odin.Session.build session ] in
     let recompiles = ref 0 in
     let rollbacks = ref 0 in
     let exec_counter = Telemetry.Metrics.counter metrics "campaign.execs" in
@@ -653,7 +654,8 @@ let fuzz_cmd =
               then
                 match Odin.Session.try_refresh session with
                 | Some (Odin.Session.Ok | Odin.Session.Degraded _) ->
-                  incr recompiles
+                  incr recompiles;
+                  events := Option.get session.Odin.Session.last_event :: !events
                 | Some (Odin.Session.Rolled_back _) -> incr rollbacks
                 | None -> ()
             end;
@@ -675,10 +677,10 @@ let fuzz_cmd =
        let ts = Odin.Session.tier_stats session in
        Printf.printf
          "tier       : %d tier-0 compiles (cost %d), %d tier-1 (cost %d), \
-          %d promotions, %d OSR migrations\n"
+          %d promotions\n"
          ts.Odin.Session.ts_tier0_compiles ts.Odin.Session.ts_tier0_cost
          ts.Odin.Session.ts_tier1_compiles ts.Odin.Session.ts_tier1_cost
-         ts.Odin.Session.ts_promotions ts.Odin.Session.ts_osr_migrations);
+         ts.Odin.Session.ts_promotions);
     Printf.printf
       "relinks    : %d incremental, %d full (%d symbols patched, %d shard \
        waits)\n"
@@ -715,7 +717,7 @@ let fuzz_cmd =
     if time_report then begin
       (* the recompile events are a view over the same span tree the
          report renders, so these sums equal the report's stage totals *)
-      let events = Odin.Session.events session in
+      let events = List.rev !events in
       let sum f = List.fold_left (fun a e -> a +. f e) 0. events in
       let isum f = List.fold_left (fun a e -> a + f e) 0 events in
       Printf.printf
@@ -749,7 +751,7 @@ let fuzz_cmd =
                  row "symbols_patched"
                    (string_of_int e.Odin.Session.ev_symbols_patched);
                ])
-             (Odin.Session.events session))
+             (List.rev !events))
       in
       try
         Telemetry.Csv.write ~extra_rows r path;
@@ -810,9 +812,10 @@ let bench_diff_cmd =
       value & flag
       & info [ "require-baseline" ]
           ~doc:
-            "Fail when CURRENT contains a snapshot absent from BASELINE. By \
-             default such a section passes with a note, so a new bench \
-             section can land before its committed baseline.")
+            "Fail when CURRENT contains a snapshot absent from BASELINE, or \
+             a metric absent from its section's baseline. By default such \
+             a section or metric passes with a note, so a new bench \
+             section or metric can land before its committed baseline.")
   in
   let run baseline current verbose require_baseline =
     (* directory mode pairs the *union* of both sides' snapshot names:
@@ -884,7 +887,17 @@ let bench_diff_cmd =
               Printf.eprintf "odinc: %s: %s\n" cpath msg;
               exit 2
             | Ok cur ->
-              let entries = Snap.diff ~baseline:base ~current:cur () in
+              let entries =
+                Snap.diff ~baseline:base ~current:cur ()
+                |> List.map (fun (e : Snap.entry) ->
+                       if require_baseline && e.Snap.d_base = None then
+                         {
+                           e with
+                           Snap.d_verdict = Snap.Fail;
+                           d_note = "new metric has no baseline";
+                         }
+                       else e)
+              in
               n_metrics := !n_metrics + List.length entries;
               Printf.printf "%-24s %s  (%d metrics, section %s)\n" name
                 (verdict_str (Snap.worst entries))

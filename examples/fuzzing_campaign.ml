@@ -25,7 +25,7 @@ let () =
   Printf.printf "probes: %d   fragments: %d\n\n" cov.Odin.Cov.total_probes
     (Odin.Partition.fragment_count session.Odin.Session.plan);
 
-  let recompiles = ref 0 in
+  let recompile_times = ref [] in
   let exec_cycles = ref 0 in
   let target =
     {
@@ -42,7 +42,10 @@ let () =
           (* on-demand: drop what has fired, recompile on the fly *)
           if Odin.Cov.prune_fired cov > 0 then
             (match Odin.Session.refresh session with
-            | Some _ -> incr recompiles
+            | Some e ->
+              recompile_times :=
+                (1000. *. (e.Odin.Session.ev_compile_time +. e.Odin.Session.ev_link_time))
+                :: !recompile_times
             | None -> ());
           { Fuzzer.Fuzz.ex_cycles = vm.Vm.cycles; ex_new_blocks = List.length fresh });
     }
@@ -62,17 +65,8 @@ let () =
   Printf.printf "probes remaining: %d (pruned: %d)\n"
     (Instr.Manager.count session.Odin.Session.manager)
     cov.Odin.Cov.pruned_total;
-  Printf.printf "on-the-fly recompilations: %d\n" !recompiles;
-  let events = Odin.Session.events session in
-  let recompile_times =
-    match events with
-    | _initial :: rest ->
-      List.map
-        (fun (e : Odin.Session.recompile_event) ->
-          1000. *. (e.Odin.Session.ev_compile_time +. e.Odin.Session.ev_link_time))
-        rest
-    | [] -> []
-  in
+  let recompile_times = !recompile_times in
+  Printf.printf "on-the-fly recompilations: %d\n" (List.length recompile_times);
   if recompile_times <> [] then
     Printf.printf "recompilation latency: mean %.2f ms, worst %.2f ms\n"
       (Support.Stats.mean recompile_times)

@@ -83,7 +83,8 @@ let () =
      remove exactly that probe and continue *)
   (match checks.Odin.Checks.violations with
   | { Odin.Checks.v_pid; _ } :: _ ->
-    ignore (Odin.Checks.remove_probe checks v_pid);
+    Instr.Manager.remove session.Odin.Session.manager
+      (Instr.Manager.get_exn session.Odin.Session.manager v_pid);
     (match Odin.Session.refresh session with
     | Some _ ->
       Printf.printf

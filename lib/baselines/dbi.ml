@@ -38,11 +38,10 @@ type t = {
   kind : kind;
   costs : costs;
   translated : (string * int, unit) Hashtbl.t;  (** DrCov code cache *)
-  coverage : (string * int, int) Hashtbl.t;  (** (function, block) -> hits *)
 }
 
 let create ?(costs = default_costs) kind =
-  { kind; costs; translated = Hashtbl.create 256; coverage = Hashtbl.create 256 }
+  { kind; costs; translated = Hashtbl.create 256 }
 
 let block_length (mf : Codegen.Mach.mfunc) idx =
   let start, _ = mf.Codegen.Mach.mf_blocks.(idx) in
@@ -57,9 +56,9 @@ let block_length (mf : Codegen.Mach.mfunc) idx =
 let attach t vm =
   let costs = t.costs in
   Vm.set_block_hook vm (fun vm fname bidx ->
-      let key = (fname, bidx) in
-      (match t.kind with
+      match t.kind with
       | Drcov ->
+        let key = (fname, bidx) in
         if not (Hashtbl.mem t.translated key) then begin
           Hashtbl.replace t.translated key ();
           let len =
@@ -70,9 +69,4 @@ let attach t vm =
           Vm.add_cycles vm (costs.c_translate_fixed + (costs.c_translate_per_inst * len))
         end;
         Vm.add_cycles vm (costs.c_dispatch + costs.c_counter)
-      | Libinst -> Vm.add_cycles vm (costs.c_trampoline + costs.c_counter));
-      Hashtbl.replace t.coverage key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.coverage key)))
-
-let covered_blocks t = Hashtbl.length t.coverage
-let translated_blocks t = Hashtbl.length t.translated
+      | Libinst -> Vm.add_cycles vm (costs.c_trampoline + costs.c_counter))

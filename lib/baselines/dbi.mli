@@ -23,7 +23,6 @@ type t = {
   kind : kind;
   costs : costs;
   translated : (string * int, unit) Hashtbl.t;  (** DrCov code cache *)
-  coverage : (string * int, int) Hashtbl.t;  (** (function, block) -> hits *)
 }
 
 val create : ?costs:costs -> kind -> t
@@ -34,6 +33,3 @@ val block_length : Codegen.Mach.mfunc -> int -> int
 (** Install the engine's block hook on a (fresh) VM; the engine state
     persists across VMs. *)
 val attach : t -> Vm.t -> unit
-
-val covered_blocks : t -> int
-val translated_blocks : t -> int

@@ -8,11 +8,3 @@ let build ?(keep = [ "target_main" ]) ?(host = []) (m : Ir.Modul.t) =
   Ir.Verify.run_exn copy;
   let obj = Link.Objfile.of_module copy in
   Link.Linker.link ~host [ obj ]
-
-(** Run [entry] on input [bytes] in a fresh VM; returns (result, cycles). *)
-let run_input ?(hosts = []) exe entry bytes =
-  let vm = Vm.create exe in
-  List.iter (fun (n, f) -> Vm.register_host vm n f) hosts;
-  let addr = Vm.write_buffer vm bytes in
-  let r = Vm.call vm entry [ addr; Int64.of_int (String.length bytes) ] in
-  (r, vm.Vm.cycles)

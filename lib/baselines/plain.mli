@@ -2,11 +2,3 @@
     clone of the pristine IR. All figures normalize against it. *)
 
 val build : ?keep:string list -> ?host:string list -> Ir.Modul.t -> Link.Linker.exe
-
-(** Run [entry] on an input buffer in a fresh VM; (result, cycles). *)
-val run_input :
-  ?hosts:(string * (Vm.t -> int64)) list ->
-  Link.Linker.exe ->
-  string ->
-  string ->
-  int64 * int

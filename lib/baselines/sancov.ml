@@ -80,9 +80,3 @@ let covered_counters vm t =
     if read_counter vm t i > 0 then out := i :: !out
   done;
   !out
-
-let clear_counters vm t =
-  let base = Vm.addr_of vm counters_sym in
-  for i = 0 to t.n_counters - 1 do
-    Vm.store_mem vm Ir.Types.I8 (Int64.add base (Int64.of_int i)) 0L
-  done

@@ -19,5 +19,3 @@ val read_counter : Vm.t -> t -> int -> int
 
 (** Indices of counters that fired. *)
 val covered_counters : Vm.t -> t -> int list
-
-val clear_counters : Vm.t -> t -> unit

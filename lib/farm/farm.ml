@@ -75,7 +75,6 @@ type config = Orch.config = {
       (** fired-execution votes required to prune a probe globally;
           <= 0 disables pruning. 1 = Untracer policy, globally. *)
   fc_cache_limit : int option;  (** store GC size bound (bytes), per barrier *)
-  fc_mode : Odin.Partition.mode;
   fc_adaptive_sync : bool;
       (** scale the sync interval up on quiet barriers, reset on new
           coverage *)
@@ -159,7 +158,7 @@ let run ?telemetry ?pool ?cache_dir ?incremental_link ?incremental_sched
     let session =
       (* tiering pinned to the config, not ODIN_TIER: farm results must
          not depend on the environment the campaign happens to run in *)
-      Odin.Session.create ~mode:cfg.fc_mode ~keep:[ entry ]
+      Odin.Session.create ~keep:[ entry ]
         ~runtime_globals:[ Odin.Cov.runtime_global m ]
         ~host ~pool ~objects:shared ~owner:i ?cache_dir ?incremental_link
         ?incremental_sched ~tiered:(cfg.fc_promote_share > 0.) ~telemetry:wr m

@@ -30,7 +30,6 @@ type config = {
       (** fired-execution votes required to prune a probe globally;
           <= 0 disables pruning. 1 = Untracer policy, globally. *)
   fc_cache_limit : int option;  (** store GC size bound (bytes), per barrier *)
-  fc_mode : Odin.Partition.mode;
   fc_adaptive_sync : bool;
       (** scale the sync interval up on quiet barriers, reset on new
           coverage (off by default: a fixed interval is what the
@@ -54,7 +53,6 @@ let default_config =
     fc_seed = 42;
     fc_prune_quorum = 1;
     fc_cache_limit = None;
-    fc_mode = Odin.Partition.Auto;
     fc_adaptive_sync = false;
     fc_promote_share = 0.0;
   }

@@ -15,7 +15,6 @@ type config = {
       (** fired-execution votes required to prune a probe globally;
           <= 0 disables pruning. 1 = Untracer policy, globally. *)
   fc_cache_limit : int option;  (** store GC size bound (bytes), per barrier *)
-  fc_mode : Odin.Partition.mode;
   fc_adaptive_sync : bool;
       (** scale the sync interval up on quiet barriers, reset on new
           coverage (off by default: a fixed interval is what the

@@ -56,7 +56,7 @@
 let worker_init (init : Wire.init) =
   let m = Ir.Parse.module_of_string ~name:init.Wire.in_mod_name init.Wire.in_mod_text in
   let session =
-    Odin.Session.create ~mode:init.Wire.in_mode ~keep:[ init.Wire.in_entry ]
+    Odin.Session.create ~keep:[ init.Wire.in_entry ]
       ~runtime_globals:[ Odin.Cov.runtime_global m ]
       ~host:init.Wire.in_host ~pool:Support.Pool.serial
       ?cache_dir:init.Wire.in_cache_dir
@@ -146,7 +146,6 @@ let run ?telemetry ?cache_dir ?journal ?journal_path
     {
       Wire.in_id = id;
       in_seed = cfg.Orch.fc_seed;
-      in_mode = cfg.Orch.fc_mode;
       in_entry = entry;
       in_host = host;
       in_seeds = seeds;

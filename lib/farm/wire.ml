@@ -44,8 +44,9 @@ let magic = "ODNW"
    (workers derive their tiering from it), Assign carries the
    barrier-merged per-function cycle profile promotions are decided
    from, and the checkpoint payload moved to ckpt v2.
-   v4: Init dropped the incremental link/scheduler mode fields. *)
-let version = 4
+   v4: Init dropped the incremental link/scheduler mode fields.
+   v5: Init dropped the partition mode (workers always partition Auto). *)
+let version = 5
 let header_len = 14
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Wire_error m)) fmt
@@ -138,16 +139,6 @@ let r_list c f =
 (* ------------------------------------------------------------------ *)
 (* Domain codecs                                                       *)
 (* ------------------------------------------------------------------ *)
-
-let w_mode b (m : Odin.Partition.mode) =
-  w_u8 b (match m with Odin.Partition.One -> 0 | Odin.Partition.Auto -> 1 | Odin.Partition.Max -> 2)
-
-let r_mode c =
-  match r_u8 c with
-  | 0 -> Odin.Partition.One
-  | 1 -> Odin.Partition.Auto
-  | 2 -> Odin.Partition.Max
-  | n -> fail "bad partition mode %d" n
 
 let w_item b (it : Csync.item) =
   w_i64 b it.Csync.it_index;
@@ -345,7 +336,6 @@ let r_ckpt c =
 type init = {
   in_id : int;
   in_seed : int;
-  in_mode : Odin.Partition.mode;
   in_entry : string;
   in_host : string list;
   in_seeds : string list;
@@ -414,7 +404,6 @@ let encode_payload b = function
   | Init i ->
     w_i64 b i.in_id;
     w_i64 b i.in_seed;
-    w_mode b i.in_mode;
     w_str b i.in_entry;
     w_list b w_str i.in_host;
     w_list b w_str i.in_seeds;
@@ -456,7 +445,6 @@ let decode_payload tag c =
   | 1 ->
     let in_id = r_i64 c in
     let in_seed = r_i64 c in
-    let in_mode = r_mode c in
     let in_entry = r_str c in
     let in_host = r_list c r_str in
     let in_seeds = r_list c r_str in
@@ -468,7 +456,6 @@ let decode_payload tag c =
       {
         in_id;
         in_seed;
-        in_mode;
         in_entry;
         in_host;
         in_seeds;

@@ -25,7 +25,6 @@ val header_len : int
 type init = {
   in_id : int;
   in_seed : int;
-  in_mode : Odin.Partition.mode;
   in_entry : string;
   in_host : string list;
   in_seeds : string list;

@@ -200,12 +200,14 @@ type odin_replay = {
   o_probes_pruned : int;
   o_degraded : int;  (** refreshes that completed with degraded fragments *)
   o_rollbacks : int;  (** refreshes rolled back to the previous executable *)
+  o_events : Odin.Session.recompile_event list;
+      (** the build's event, then each successful refresh's, oldest first *)
 }
 
 (** OdinCov: instrument-first coverage with (optionally) on-the-fly probe
     pruning and recompilation between executions. The reported cycles are
-    execution-only; recompilation overhead is recorded separately in the
-    session's events (Figures 11/12 and the 82 ms claim). When
+    execution-only; recompilation overhead is recorded separately in
+    [o_events] (Figures 11/12 and the 82 ms claim). When
     [telemetry] is given the session records its build spans on it, and
     the replay adds exec-cycle histograms plus recompile/prune counters. *)
 let replay_odincov ?telemetry ?(prune = true) ?(mode = Odin.Partition.Auto)
@@ -221,7 +223,7 @@ let replay_odincov ?telemetry ?(prune = true) ?(mode = Odin.Partition.Auto)
       ~tiered:false base
   in
   let cov = Odin.Cov.setup session in
-  ignore (Odin.Session.build session);
+  let events = ref [ Odin.Session.build session ] in
   let recompiles = ref 0 in
   let pruned = ref 0 in
   let degraded = ref 0 in
@@ -245,12 +247,16 @@ let replay_odincov ?telemetry ?(prune = true) ?(mode = Odin.Partition.Auto)
             (* transactional refresh: a fault-degraded or rolled-back
                rebuild must not abort the campaign — the session still
                holds a consistent executable either way *)
+            let rebuilt () =
+              incr recompiles;
+              events := Option.get session.Odin.Session.last_event :: !events
+            in
             match Odin.Session.try_refresh session with
             | Some Odin.Session.Ok ->
-              incr recompiles;
+              rebuilt ();
               Telemetry.Recorder.count telemetry "campaign.recompiles"
             | Some (Odin.Session.Degraded fids) ->
-              incr recompiles;
+              rebuilt ();
               degraded := !degraded + 1;
               Telemetry.Recorder.count telemetry "campaign.recompiles";
               Telemetry.Recorder.count telemetry
@@ -277,4 +283,5 @@ let replay_odincov ?telemetry ?(prune = true) ?(mode = Odin.Partition.Auto)
     o_probes_pruned = !pruned;
     o_degraded = !degraded;
     o_rollbacks = !rollbacks;
+    o_events = List.rev !events;
   }

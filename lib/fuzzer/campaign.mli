@@ -64,12 +64,14 @@ type odin_replay = {
   o_probes_pruned : int;
   o_degraded : int;  (** refreshes that completed with degraded fragments *)
   o_rollbacks : int;  (** refreshes rolled back to the previous executable *)
+  o_events : Odin.Session.recompile_event list;
+      (** the build's event, then each successful refresh's, oldest first *)
 }
 
 (** OdinCov replay: instrument-first coverage with (by default)
     Untracer-style pruning and on-the-fly recompilation between
-    executions. Cycles are execution-only; recompile costs live in the
-    session's events. [telemetry] receives the session's build spans
+    executions. Cycles are execution-only; recompile costs live in
+    [o_events]. [telemetry] receives the session's build spans
     plus exec-cycle histograms and recompile/prune counters. Refreshes
     are transactional ({!Odin.Session.try_refresh}): a degraded or
     rolled-back rebuild is counted, not fatal. [cache_dir] enables the

@@ -19,9 +19,6 @@ type t = {
   removed_targets : (string, unit) Hashtbl.t;
       (** symbols whose probes were removed — they must be recompiled even
           though the probe object is gone *)
-  toggles : (int, int) Hashtbl.t;
-      (** cumulative enable/disable flips + removals per probe id; kept
-          after removal — cost attribution outlives the probe *)
 }
 
 let create () =
@@ -32,12 +29,7 @@ let create () =
     next_id = 0;
     changed = Hashtbl.create 64;
     removed_targets = Hashtbl.create 16;
-    toggles = Hashtbl.create 64;
   }
-
-let bump_toggle t pid =
-  Hashtbl.replace t.toggles pid
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.toggles pid))
 
 let add t ?(enabled = true) ~target payload =
   let p = { Probe.pid = t.next_id; target; enabled; payload } in
@@ -59,7 +51,6 @@ let get_exn t pid =
 (** Removing a probe dirties its target symbol: the next recompilation
     regenerates the symbol without the probe's code. *)
 let remove t (p : Probe.t) =
-  if Hashtbl.mem t.by_id p.Probe.pid then bump_toggle t p.Probe.pid;
   t.probes <- List.filter (fun q -> q.Probe.pid <> p.Probe.pid) t.probes;
   Hashtbl.remove t.by_id p.Probe.pid;
   (match Hashtbl.find_opt t.by_target p.Probe.target with
@@ -74,7 +65,6 @@ let remove t (p : Probe.t) =
 let set_enabled t (p : Probe.t) enabled =
   if p.Probe.enabled <> enabled then begin
     p.Probe.enabled <- enabled;
-    bump_toggle t p.Probe.pid;
     Hashtbl.replace t.changed p.Probe.pid ()
   end
 
@@ -89,10 +79,6 @@ let toggle_many t toggles =
 
 (** Mark a probe's logic as modified (e.g. its payload was retargeted). *)
 let touch t (p : Probe.t) = Hashtbl.replace t.changed p.Probe.pid ()
-
-(** Cumulative instrumentation-change count for [pid]: enable/disable
-    flips plus the removal, kept after the probe is gone. *)
-let toggle_count t pid = Option.value ~default:0 (Hashtbl.find_opt t.toggles pid)
 
 let iter f t = List.iter f (List.rev t.probes)
 let to_list t = List.rev t.probes

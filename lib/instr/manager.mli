@@ -40,11 +40,6 @@ val toggle_many : t -> (Probe.t * bool) list -> unit
 (** Mark a probe's logic as modified (e.g. its payload was retargeted). *)
 val touch : t -> Probe.t -> unit
 
-(** Cumulative instrumentation-change count for a probe id:
-    enable/disable flips plus its removal. Survives the probe's removal
-    so cost attribution can report pruned probes. *)
-val toggle_count : t -> int -> int
-
 val iter : (Probe.t -> unit) -> t -> unit
 
 (** All live probes in registration order. *)

@@ -18,7 +18,9 @@
       [funcs] / [fn_at_addr] / patched data slots, all of which are
       rebuilt or patched here; code is position-independent (calls and
       [Osym] resolve by name at run time), so only data slots hold raw
-      addresses and only those need the reverse index. *)
+      addresses and only those need the reverse index.
+
+    A relink yields only the new executable: the next VM loads it. *)
 
 module L = Linker
 
@@ -106,13 +108,6 @@ type t = {
   mutable state : state option;
   stats : stats;
   mutable last : link_stats;
-  mutable last_slots : (int * int64) list;
-      (* absolute (address, value) of every 8-byte data slot the most
-         recent *successful incremental* patch rewrote; [] after a full
-         link. This is the byte-level delta between the previous image
-         and the new one (changed objects aside), and exactly what an
-         OSR migration must replay into a live VM's memory — see
-         [Vm.request_osr] *)
   hw : (string, int * int) Hashtbl.t;
       (* overflow high-water marks: object name -> (code slots, data
          bytes) the slab must fit on the next full link. Inflating the
@@ -144,7 +139,6 @@ let create () =
         st_compactions = 0;
       };
     last = no_link;
-    last_slots = [];
     hw = Hashtbl.create 8;
     ov_since_compact = 0;
   }
@@ -152,11 +146,6 @@ let create () =
 let stats t = t.stats
 let last t = t.last
 
-(** Absolute (address, value) pairs the most recent successful
-    incremental patch wrote into data slots; [[]] when the last link
-    was full (no delta is known — an OSR migration must be refused and
-    the execution restarted on the new image). *)
-let last_slots t = t.last_slots
 let reset t = t.state <- None
 
 (* Overflows tolerated before the inflated high-water capacities are
@@ -490,9 +479,8 @@ let journal_remove undo tbl k =
     undo := (fun () -> Hashtbl.replace tbl k p) :: !undo;
     Hashtbl.remove tbl k
 
-(* Returns [(state', exe, symbols_patched, relocs_patched, slots)] where
-   [slots] is the absolute (address, value) list of rewritten data
-   slots; raises [Fallback] when the cheap path cannot be proven safe. *)
+(* Returns [(state', exe, symbols_patched, relocs_patched)]; raises
+   [Fallback] when the cheap path cannot be proven safe. *)
 let incremental_link state ~host ~changed (objs : Objfile.t list) =
   (* host compared as a *set*: an added symbol gets a thunk address off
      the persistent host-slab cursor below; a removed one would leave a
@@ -512,7 +500,7 @@ let incremental_link state ~host ~changed (objs : Objfile.t list) =
       objs
   in
   if changed_objs = [] && HostSet.is_empty added_host then
-    (state, state.s_exe, 0, 0, [])
+    (state, state.s_exe, 0, 0)
   else begin
     Support.Fault.hit "link.patch";
     let old = state.s_exe in
@@ -531,7 +519,6 @@ let incremental_link state ~host ~changed (objs : Objfile.t list) =
     let prev_addr = Hashtbl.create 16 in (* pre-patch address of removed syms *)
     let placed_log = ref [] in (* (name, expected addr) for verification *)
     let slot_log = ref [] in (* (bytes, off, target) for verification *)
-    let osr_log = ref [] in (* absolute (addr, value) of rewritten slots *)
     let old_entries = ref [] in (* pre-patch (obj, entries), for the rev index *)
     let host_cursor = ref state.s_host_next in
     try
@@ -696,8 +683,7 @@ let incremental_link state ~host ~changed (objs : Objfile.t list) =
                   | Some addr ->
                     Bytes.set_int64_le bytes off addr;
                     incr relocs_patched;
-                    slot_log := (bytes, off, target) :: !slot_log;
-                    osr_log := (e.e_base + off, addr) :: !osr_log
+                    slot_log := (bytes, off, target) :: !slot_log
                   | None -> raise Fallback)
                 e.e_relocs;
               { e with e_bytes = bytes })
@@ -741,8 +727,7 @@ let incremental_link state ~host ~changed (objs : Objfile.t list) =
                     let addr = Hashtbl.find sym_addr target in
                     Bytes.set_int64_le bytes off addr;
                     incr relocs_patched;
-                    slot_log := (bytes, off, target) :: !slot_log;
-                    osr_log := (e.e_base + off, addr) :: !osr_log)
+                    slot_log := (bytes, off, target) :: !slot_log)
                   slots;
                 { e with e_bytes = bytes })
             sl.sl_entries
@@ -840,8 +825,7 @@ let incremental_link state ~host ~changed (objs : Objfile.t list) =
       },
       exe,
       !syms_patched,
-      !relocs_patched,
-      List.rev !osr_log )
+      !relocs_patched )
     with e ->
       (* replay the journal LIFO: every binding the patch touched is
          restored before the exception (Fallback, a diagnostic, a
@@ -880,7 +864,7 @@ let relink ?(incremental = true) ?(host = []) t ~changed
           None)
   in
   match patched with
-  | Some (state, exe, sp, rp, slots) ->
+  | Some (state, exe, sp, rp) ->
     t.state <- Some state;
     t.stats.st_incremental <- t.stats.st_incremental + 1;
     t.stats.st_symbols_patched <- t.stats.st_symbols_patched + sp;
@@ -893,7 +877,6 @@ let relink ?(incremental = true) ?(host = []) t ~changed
         ls_resolved = 0;
         ls_cost = 200 + (40 * (sp + rp));
       };
-    t.last_slots <- slots;
     exe
   | None ->
     let state, resolved = full_link ~hw:t.hw ~host objs in
@@ -907,5 +890,4 @@ let relink ?(incremental = true) ?(host = []) t ~changed
         ls_resolved = resolved;
         ls_cost = 2000 + (40 * resolved);
       };
-    t.last_slots <- [];
     state.s_exe

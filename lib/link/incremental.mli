@@ -23,7 +23,8 @@
     previous executable serving, exactly like a failed full link. (The
     sharing cuts the other way too: after a {e successful} patch, an exe
     value captured before it keeps its byte image but reads the updated
-    symbol tables.)
+    symbol tables.) A relink yields the executable the next VM loads; a
+    VM already running keeps the image it was created with.
 
     The patch path {e falls back to a full link} (same diagnostics,
     fresh slabs) whenever it cannot prove the cheap path safe: first
@@ -123,14 +124,6 @@ val relink :
 
 (** Most recent link's work; meaningful after the first {!relink}. *)
 val last : t -> link_stats
-
-(** Absolute (address, value) pairs of every 8-byte data slot the most
-    recent {e successful incremental} patch rewrote — the byte-level
-    delta an OSR migration replays into a live VM's memory (see
-    [Vm.request_osr]). [[]] when the last link was full: no delta is
-    known, so a migration must be refused and the execution restarted
-    on the new image. *)
-val last_slots : t -> (int * int64) list
 
 val stats : t -> stats
 

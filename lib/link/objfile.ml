@@ -123,12 +123,3 @@ let of_module ?(tier = 1) ?cost (m : Ir.Modul.t) =
     o_aliases = List.rev !aliases;
     o_undefined = List.rev !undef;
   }
-
-(** Total code size in instructions (for statistics). *)
-let code_size obj =
-  List.fold_left
-    (fun acc s ->
-      match s.s_def with
-      | Code mf -> acc + Array.length mf.Codegen.Mach.mf_code
-      | Data _ -> acc)
-    0 obj.o_syms

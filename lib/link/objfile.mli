@@ -38,6 +38,3 @@ val data_of_init : Ir.Modul.init -> const:bool -> data
     accumulates the modelled backend work.
     @raise Emit_error on an alias whose base is not defined here. *)
 val of_module : ?tier:int -> ?cost:int ref -> Ir.Modul.t -> t
-
-(** Total code size in instructions. *)
-val code_size : t -> int

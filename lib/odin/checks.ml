@@ -142,11 +142,3 @@ let prune_hot ?(threshold = 100) t =
   in
   List.iter (Instr.Manager.remove t.session.Session.manager) hot;
   List.length hot
-
-(** UBSan-with-fuzzing: remove a specific faulty probe immediately. *)
-let remove_probe t pid =
-  match Instr.Manager.get t.session.Session.manager pid with
-  | Some p ->
-    Instr.Manager.remove t.session.Session.manager p;
-    true
-  | None -> false

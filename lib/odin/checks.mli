@@ -25,6 +25,3 @@ val host_hooks : t -> (string * (Vm.t -> int64)) list
 
 (** ASAP-style: remove checks tripped more than [threshold] times. *)
 val prune_hot : ?threshold:int -> t -> int
-
-(** UBSan-with-fuzzing: remove one specific (faulty) probe by id. *)
-val remove_probe : t -> int -> bool

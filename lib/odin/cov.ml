@@ -99,12 +99,6 @@ let read_counter vm pid =
     (Ir.Types.zext_value Ir.Types.I8
        (Vm.load_mem vm Ir.Types.I8 (Int64.add base (Int64.of_int pid))))
 
-let clear_counters vm n =
-  let base = Vm.addr_of vm counters_sym in
-  for i = 0 to n - 1 do
-    Vm.store_mem vm Ir.Types.I8 (Int64.add base (Int64.of_int i)) 0L
-  done
-
 (** Scan counters after an execution: accumulate hits into the probes'
     profiling state, return the probes that fired for the first time. *)
 let harvest t vm =

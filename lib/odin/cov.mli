@@ -29,8 +29,6 @@ val setup : Session.t -> t
 (** Read probe [pid]'s 8-bit counter out of VM memory (zero-extended). *)
 val read_counter : Vm.t -> int -> int
 
-val clear_counters : Vm.t -> int -> unit
-
 (** Accumulate counters into the probes' profiling state; returns the
     probes that fired for the first time. *)
 val harvest : t -> Vm.t -> Instr.Probe.t list

@@ -11,6 +11,11 @@
     observes — build results are bit-identical whether or not anyone
     ever exports a report or trace from it.
 
+    Executions: a rebuild produces the executable the {e next}
+    execution runs on; a running VM keeps its image. The session keeps
+    only the last rebuild's event ([last_event]), so a long campaign
+    does not grow a history; callers that want one keep their own.
+
     Concurrency: scheduled fragments compile in parallel on a
     [Support.Pool] (the link step stays a serial barrier), and a
     content-addressed LRU object cache in front of verify, optimize and
@@ -231,14 +236,14 @@ type t = {
   mutable tier1_compiles : int;  (** fragments compiled by the optimizer *)
   mutable tier1_cost : int;  (** modelled opt+backend work at tier 1 *)
   mutable promotion_count : int;  (** tier-0 -> tier-1 promotions landed *)
-  mutable osr_migrations : int;  (** live executions migrated (see Vm) *)
   mutable host : string list;
   mutable exe : Link.Linker.exe option;
   mutable patchers : (sched -> unit) list;
       (** user patch logic: applies active probes to the temporary IR;
           schemes compose (coverage + CmpLog + checks in one session) *)
-  mutable events : recompile_event list;  (** newest first *)
-  mutable opt_rounds : int;
+  mutable last_event : recompile_event option;
+      (** the most recent successful rebuild's event; the session keeps
+          no history, so a long campaign stays bounded in memory *)
   degraded : (int, unit) Hashtbl.t;
       (** fragments currently serving a stale/pristine object; they are
           force-scheduled (re-healed) on every refresh until clean *)
@@ -249,7 +254,8 @@ type t = {
   mutable rollback_count : int;
   mutable degrade_count : int;  (** total fragment degradations ever *)
   telemetry : Telemetry.Recorder.t;
-      (** spans/counters for every build; the timing source of [events] *)
+      (** spans/counters for every build; the timing source of
+          [last_event] *)
 }
 
 (** Scheduler handle passed to patch logic (paper Section 4): exposes the
@@ -276,6 +282,11 @@ let map_func sched name = Ir.Modul.find_func sched.temp name
    a tier-1 lookup, or vice versa). *)
 let store_format_version = 3
 
+(* Fixpoint bound for fragment re-optimization. Every cache key carries
+   it as [rounds=2;]: changing it changes every key, which needs a
+   [store_format_version] bump. *)
+let opt_rounds = 2
+
 (* ------------------------------------------------------------------ *)
 (* Session construction                                                *)
 (* ------------------------------------------------------------------ *)
@@ -301,9 +312,9 @@ let env_tiered () =
     [incremental_link:false] / [incremental_sched:false] select the
     full-link / full-walk reference paths the tests compare against. *)
 let create ?(mode = Partition.Auto) ?(copy_on_use = true) ?(keep = [ "main" ])
-    ?(runtime_globals = []) ?(host = []) ?(opt_rounds = 2) ?pool
-    ?(cache_size = 256) ?objects ?(owner = 0) ?cache_dir ?(max_retries = 2)
-    ?job_timeout ?(incremental_link = true) ?(incremental_sched = true) ?tiered
+    ?(runtime_globals = []) ?(host = []) ?pool ?objects ?(owner = 0) ?cache_dir
+    ?(max_retries = 2) ?job_timeout ?(incremental_link = true)
+    ?(incremental_sched = true) ?tiered
     ?(telemetry = Telemetry.Recorder.create ()) (base : Ir.Modul.t) =
   Ir.Verify.run_exn base;
   (* session setup is not a rebuild: the classification survey runs the
@@ -358,7 +369,7 @@ let create ?(mode = Partition.Auto) ?(copy_on_use = true) ?(keep = [ "main" ])
     plan;
     manager = Instr.Manager.create ();
     cache = Hashtbl.create 32;
-    objects = (match objects with Some oc -> oc | None -> object_cache ~size:cache_size ());
+    objects = (match objects with Some oc -> oc | None -> object_cache ());
     owner;
     store =
       Option.map
@@ -378,12 +389,10 @@ let create ?(mode = Partition.Auto) ?(copy_on_use = true) ?(keep = [ "main" ])
     tier1_compiles = 0;
     tier1_cost = 0;
     promotion_count = 0;
-    osr_migrations = 0;
     host;
     exe = None;
     patchers = [];
-    events = [];
-    opt_rounds;
+    last_event = None;
     degraded = Hashtbl.create 8;
     max_retries = max 0 max_retries;
     job_timeout;
@@ -391,11 +400,6 @@ let create ?(mode = Partition.Auto) ?(copy_on_use = true) ?(keep = [ "main" ])
     degrade_count = 0;
     telemetry;
   }
-
-(** Change the fragment re-optimization bound. Takes effect on the next
-    rebuild; cached objects compiled under the old setting are not
-    reused (the bound is part of the cache key). *)
-let set_opt_rounds t rounds = t.opt_rounds <- max 0 rounds
 
 (* ------------------------------------------------------------------ *)
 (* Tiered compilation                                                  *)
@@ -483,41 +487,12 @@ let promote_hot ?(threshold = 0.05) t fn_cycles =
     end
   end
 
-(** Record that a live execution migrated tier-0 -> tier-1 through an
-    OSR point (see [Vm.request_osr]); surfaces as the
-    [session.osr_migrations] counter. *)
-let note_osr_migration t =
-  t.osr_migrations <- t.osr_migrations + 1;
-  Telemetry.Recorder.count (Some t.telemetry) "session.osr_migrations"
-
-(** Migrate a live execution onto the session's current executable
-    through the VM's OSR mechanism: queue the swap plus the last
-    relink's byte-level data delta ({!Link.Incremental.last_slots});
-    the VM applies both at its next fragment boundary. Returns [false]
-    — and queues nothing — when no delta is known (the last link was
-    full, or the session has no executable yet): the caller must
-    restart the execution on the new image instead. Counted as a
-    [session.osr_migrations] the moment the swap is queued, since the
-    VM deterministically applies it at its next call dispatch. *)
-let osr_into t vm =
-  match t.exe with
-  | None -> false
-  | Some exe ->
-    let ls = Link.Incremental.last t.linker in
-    if not ls.Link.Incremental.ls_incremental then false
-    else begin
-      Vm.request_osr vm ~exe ~slots:(Link.Incremental.last_slots t.linker);
-      note_osr_migration t;
-      true
-    end
-
 type tier_stats = {
   ts_tier0_compiles : int;
   ts_tier0_cost : int;  (** modelled backend work summed at tier 0 *)
   ts_tier1_compiles : int;
   ts_tier1_cost : int;  (** modelled opt+backend work summed at tier 1 *)
   ts_promotions : int;
-  ts_osr_migrations : int;
 }
 
 let tier_stats t =
@@ -527,7 +502,6 @@ let tier_stats t =
     ts_tier1_compiles = t.tier1_compiles;
     ts_tier1_cost = t.tier1_cost;
     ts_promotions = t.promotion_count;
-    ts_osr_migrations = t.osr_migrations;
   }
 
 (** Register an additional instrumentation scheme's patch logic; all
@@ -858,8 +832,7 @@ let rebuild (sched : sched) =
             Partition.materialize t.plan f ~source:produce_source ~base:t.base)
       in
       (* content address: the instrumented IR is the complete compiler
-         input, and the opt bound is the only config that alters the
-         output for equal input. Digested structurally (one visitor
+         input (with the fixed opt bound and the tier). Digested structurally (one visitor
          pass, Ir.Shash) — same equivalence as printing, without
          materializing the printed module. Digest runs before verify so
          a cache hit short-circuits the whole remaining walk: an entry
@@ -872,7 +845,7 @@ let rebuild (sched : sched) =
                object can never satisfy an optimized lookup (or vice
                versa) in the cache or the store *)
             Buffer.add_string b
-              (Printf.sprintf "fid=%d;rounds=%d;tier=%d;" fid t.opt_rounds tier);
+              (Printf.sprintf "fid=%d;rounds=%d;tier=%d;" fid opt_rounds tier);
             Ir.Shash.add_module b frag_module;
             Digest.bytes (Buffer.to_bytes b))
       in
@@ -939,7 +912,7 @@ let rebuild (sched : sched) =
           if tier <> 0 then
             ignore
               (Opt.Pipeline.run_fragment ~recorder:jr ~cost
-                 ~max_rounds:t.opt_rounds frag_module);
+                 ~max_rounds:opt_rounds frag_module);
           let obj =
             Telemetry.Span.with_span jspans ~cat:"session" "codegen" (fun () ->
                 Link.Objfile.of_module ~tier ~cost frag_module)
@@ -1135,9 +1108,6 @@ let rebuild (sched : sched) =
       "link.slab_compactions";
     Telemetry.Recorder.count some_r ~by:!tier0_now "session.tier0_compiles";
     Telemetry.Recorder.count some_r ~by:!promoted_now "session.tier_promotions";
-    (* touched so the counter is present (possibly 0) in every report;
-       [note_osr_migration] does the real bumping *)
-    Telemetry.Recorder.count some_r ~by:0 "session.osr_migrations";
     Telemetry.Recorder.count some_r
       ~by:(t.tier0_cost - tier0_cost_before)
       "session.tier0_cost";
@@ -1169,7 +1139,7 @@ let rebuild (sched : sched) =
         ev_symbols_patched = ls.Link.Incremental.ls_symbols_patched;
       }
     in
-    t.events <- event :: t.events;
+    t.last_event <- Some event;
     match degraded_now with [] -> Ok | fids -> Degraded fids)
 
 (** Initial build, transactional: schedule every fragment and build the
@@ -1186,7 +1156,7 @@ let try_build t =
     @raise Build_error when the build rolled back. *)
 let build t =
   match try_build t with
-  | Ok | Degraded _ -> List.hd t.events
+  | Ok | Degraded _ -> Option.get t.last_event
   | Rolled_back err -> raise (Build_error err)
 
 (** Incremental transactional rebuild after probe changes (or pending
@@ -1210,7 +1180,7 @@ let try_refresh ?(backprop = true) t =
 let refresh ?(backprop = true) t =
   match try_refresh ~backprop t with
   | None -> None
-  | Some (Ok | Degraded _) -> Some (List.hd t.events)
+  | Some (Ok | Degraded _) -> t.last_event
   | Some (Rolled_back err) -> raise (Build_error err)
 
 (** Batched multi-toggle refresh: flip a whole probe set (the mutation
@@ -1228,7 +1198,7 @@ let refresh_toggles ?(backprop = true) t toggles =
   | Some outcome ->
     let ev =
       match outcome with
-      | Ok | Degraded _ -> Some (List.hd t.events)
+      | Ok | Degraded _ -> t.last_event
       | Rolled_back _ -> None
     in
     Some (outcome, ev)
@@ -1244,8 +1214,6 @@ let executable t =
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let events t = List.rev t.events
 
 let fragment_sizes t =
   Array.to_list t.plan.Partition.fragments

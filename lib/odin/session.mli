@@ -12,6 +12,9 @@
       ignore (Session.refresh session)          (* on-the-fly recompile *)
     ]}
 
+    A refresh changes what the next {!executable} call returns; an
+    execution already running keeps the image its VM was created with.
+
     [refresh] runs Algorithm 2: changed probes are propagated to their
     fragments, the fragments' *other* active probes are back-propagated in
     (so they survive the recompile), a temporary IR is extracted by
@@ -168,12 +171,12 @@ type t = {
   mutable tier1_compiles : int;
   mutable tier1_cost : int;
   mutable promotion_count : int;
-  mutable osr_migrations : int;
   mutable host : string list;
   mutable exe : Link.Linker.exe option;
   mutable patchers : (sched -> unit) list;
-  mutable events : recompile_event list;
-  mutable opt_rounds : int;
+  mutable last_event : recompile_event option;
+      (** the most recent successful rebuild's event (what {!build},
+          {!refresh} and {!refresh_toggles} return); no history is kept *)
   degraded : (int, unit) Hashtbl.t;
       (** fragments serving a stale/pristine object; force-scheduled
           (re-healed) on every refresh until they compile cleanly *)
@@ -214,14 +217,11 @@ val map_func : sched -> string -> Ir.Func.t option
     @param runtime_globals data symbols owned by the instrumentation
       runtime (e.g. counter arrays), linked as a separate object
     @param host functions resolved to the fuzzer/VM at run time
-    @param opt_rounds fixpoint bound for fragment re-optimization
     @param pool executor for per-fragment compiles (default: the
       process-wide [Support.Pool.default ()], sized by [ODIN_JOBS]).
       Build output is bit-identical for any pool size, including 1.
-    @param cache_size LRU bound (entries) of the content-addressed
-      object cache (default 256; ignored when [objects] is given)
     @param objects share an existing {!object_cache} with other
-      sessions instead of creating a private one
+      sessions instead of a private [object_cache ()]
     @param owner this session's identity for cross-hit accounting in a
       shared cache (default 0)
     @param cache_dir directory for the persistent object store; a
@@ -254,9 +254,7 @@ val create :
   ?keep:string list ->
   ?runtime_globals:(string * int) list ->
   ?host:string list ->
-  ?opt_rounds:int ->
   ?pool:Support.Pool.t ->
-  ?cache_size:int ->
   ?objects:object_cache ->
   ?owner:int ->
   ?cache_dir:string ->
@@ -268,11 +266,6 @@ val create :
   ?telemetry:Telemetry.Recorder.t ->
   Ir.Modul.t ->
   t
-
-(** Change the fragment re-optimization bound for subsequent rebuilds.
-    The bound is part of the object-cache key, so cached objects from
-    the old setting are never reused. *)
-val set_opt_rounds : t -> int -> unit
 
 (** Whether this session compiles freshly changed fragments through the
     tier-0 baseline backend. *)
@@ -300,29 +293,16 @@ val promote : t -> int list -> unit
     worker derives the same promotion set from the same merged profile. *)
 val promote_hot : ?threshold:float -> t -> (string * int) list -> int list
 
-(** Record a live tier-0 -> tier-1 execution migration (see
-    [Vm.request_osr]); bumps the [session.osr_migrations] counter. *)
-val note_osr_migration : t -> unit
-
-(** Migrate a live execution onto the session's current executable:
-    queue an OSR swap ({!Vm.request_osr}) carrying the last relink's
-    byte-level data delta; the VM applies it at its next fragment
-    boundary. Returns [false] — queuing nothing — when no delta is
-    known (last link was full, or no executable yet): the caller must
-    restart on the new image instead. *)
-val osr_into : t -> Vm.t -> bool
-
 (** Cumulative tier accounting: fresh compiles and modelled compile
     cost per tier (the [?cost] accounting threaded through
-    {!Opt.Pipeline} and {!Link.Objfile.of_module}), promotions landed,
-    and OSR migrations recorded. *)
+    {!Opt.Pipeline} and {!Link.Objfile.of_module}) and promotions
+    landed. *)
 type tier_stats = {
   ts_tier0_compiles : int;
   ts_tier0_cost : int;
   ts_tier1_compiles : int;
   ts_tier1_cost : int;
   ts_promotions : int;
-  ts_osr_migrations : int;
 }
 
 val tier_stats : t -> tier_stats
@@ -379,9 +359,6 @@ val refresh_toggles :
 
 (** @raise Build_error before the first {!build}. *)
 val executable : t -> Link.Linker.exe
-
-(** All recompile events, oldest first. *)
-val events : t -> recompile_event list
 
 (** (fragment id, number of member symbols) for every fragment. *)
 val fragment_sizes : t -> (int * int) list

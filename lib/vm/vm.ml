@@ -1,7 +1,8 @@
 (** Execution engine: runs linked machine code with per-instruction cycle
     accounting. Every "execution duration" in the reproduced figures is a
     cycle count from this VM, so results are deterministic and
-    hardware-independent while preserving relative costs.
+    hardware-independent while preserving relative costs. A VM runs on
+    the executable it was created with; a relink reaches the next VM.
 
     The engine exposes a block-entry hook, which is how the dynamic-
     binary-instrumentation baselines (DrCov, libInst) charge their
@@ -39,22 +40,8 @@ type profile = {
           target data address *)
 }
 
-(** Stack map captured at an OSR point: the live execution state the
-    migration carried across images. Registers and the stack transfer
-    verbatim (both tiers share the machine's calling convention and the
-    guest's memory layout); frames below the OSR point keep draining on
-    their retained old code. *)
-type stack_map = {
-  sm_fn : string;  (** function dispatched first on the new image *)
-  sm_depth : int;  (** live frames retained on the old code *)
-  sm_sp : int64;  (** stack pointer, transferred verbatim *)
-  sm_regs : int64 array;  (** register file at the OSR point *)
-}
-
 type t = {
-  mutable exe : Link.Linker.exe;
-      (** swapped in place by an OSR migration; frames already on the
-          stack keep direct references to their old code *)
+  exe : Link.Linker.exe;
   mem : Bytes.t;
   regs : int64 array;
   mutable cycles : int;
@@ -71,11 +58,6 @@ type t = {
       (** called on block entry with (function name, block index) *)
   mutable stack_base : int;
   mutable prof : profile option;
-  mutable pending_osr : (Link.Linker.exe * (int * int64) list) option;
-      (** queued image swap: (new exe, patched-slot delta); applied at
-          the next OSR point (fragment boundary = call dispatch) *)
-  mutable osr_migrations : int;
-  mutable last_stack_map : stack_map option;
 }
 
 let mem_size = 1 lsl 20 (* 1 MiB; data starts at 256 KiB, stack at the top *)
@@ -95,9 +77,6 @@ let create ?(max_steps = 200_000_000) exe =
       block_hook = None;
       stack_base = mem_size - 16;
       prof = None;
-      pending_osr = None;
-      osr_migrations = 0;
-      last_stack_map = None;
     }
   in
   (* load the data image *)
@@ -110,49 +89,6 @@ let create ?(max_steps = 200_000_000) exe =
 
 let register_host vm name fn = Hashtbl.replace vm.host name fn
 
-(* ------------------------------------------------------------------ *)
-(* On-stack replacement                                                *)
-(* ------------------------------------------------------------------ *)
-
-(** Queue an image swap to happen at the next OSR point (the next call
-    dispatch — a fragment boundary). [slots] is the byte-level delta of
-    the relink that produced [exe] (see [Link.Incremental.last_slots]):
-    the absolute (address, value) pairs replayed into the live memory so
-    the data image matches what a fresh load of [exe] would contain.
-    Code addresses are stable across an incremental relink (slab
-    placement), so patching the data delta and switching the symbol
-    tables is the whole migration. *)
-let request_osr vm ~exe ~slots = vm.pending_osr <- Some (exe, slots)
-
-let osr_pending vm = vm.pending_osr <> None
-let osr_migrations vm = vm.osr_migrations
-let last_stack_map vm = vm.last_stack_map
-
-(* Apply a queued swap, if any. Called at OSR points only: the about-to-
-   dispatch callee then resolves against the new image, while frames
-   already on the stack drain on their retained old code. [fn] and
-   [depth] describe the execution state for the captured stack map. *)
-let osr_apply vm fn depth =
-  match vm.pending_osr with
-  | None -> ()
-  | Some (exe, slots) ->
-    vm.exe <- exe;
-    List.iter
-      (fun (addr, v) ->
-        if addr < 0 || addr + 8 > mem_size then
-          fault "OSR slot out of range at 0x%x" addr;
-        Bytes.set_int64_le vm.mem addr v)
-      slots;
-    vm.last_stack_map <-
-      Some
-        {
-          sm_fn = fn;
-          sm_depth = depth;
-          sm_sp = vm.regs.(reg_sp);
-          sm_regs = Array.copy vm.regs;
-        };
-    vm.osr_migrations <- vm.osr_migrations + 1;
-    vm.pending_osr <- None
 let set_block_hook vm hook = vm.block_hook <- Some hook
 let add_cycles vm n = vm.cycles <- vm.cycles + n
 
@@ -305,9 +241,6 @@ let call vm fname args =
   let running = ref true in
   enter_block vm entry 0;
   let dispatch_call name ret_pc =
-    (* OSR point: a queued tier swap lands here, before the callee is
-       resolved, so the callee runs on the new image *)
-    osr_apply vm name (List.length !stack);
     match Link.Linker.find_func vm.exe name with
     | Some mf ->
       stack := { fr_fn = !cur; fr_pc = ret_pc } :: !stack;

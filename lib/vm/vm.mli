@@ -3,6 +3,9 @@
     cycle count from this VM, so results are deterministic and
     hardware-independent while preserving relative costs.
 
+    A VM runs on the executable it was created with: a recompile and
+    relink reaches the next VM, never a running one.
+
     The block-entry hook is how the dynamic-binary-instrumentation
     baselines (DrCov, libInst) charge translation/dispatch/trampoline
     costs without modifying the code. *)
@@ -30,22 +33,8 @@ type profile = {
       (** per-counter-address attribution (address -> hits, cycles) *)
 }
 
-(** Stack map captured at an OSR point: the live execution state the
-    migration carried across images. Registers and the stack transfer
-    verbatim (both tiers share the machine's calling convention and the
-    guest's memory layout); frames below the OSR point keep draining on
-    their retained old code. *)
-type stack_map = {
-  sm_fn : string;  (** function dispatched first on the new image *)
-  sm_depth : int;  (** live frames retained on the old code *)
-  sm_sp : int64;  (** stack pointer, transferred verbatim *)
-  sm_regs : int64 array;  (** register file at the OSR point *)
-}
-
 type t = {
-  mutable exe : Link.Linker.exe;
-      (** swapped in place by an OSR migration; frames already on the
-          stack keep direct references to their old code *)
+  exe : Link.Linker.exe;
   mem : Bytes.t;
   regs : int64 array;  (** 16 registers; r0 = return value *)
   mutable cycles : int;
@@ -59,11 +48,6 @@ type t = {
   mutable block_hook : (t -> string -> int -> unit) option;
   mutable stack_base : int;
   mutable prof : profile option;
-  mutable pending_osr : (Link.Linker.exe * (int * int64) list) option;
-      (** queued image swap: (new exe, patched-slot delta); applied at
-          the next OSR point (fragment boundary = call dispatch) *)
-  mutable osr_migrations : int;
-  mutable last_stack_map : stack_map option;
 }
 
 val mem_size : int
@@ -78,26 +62,6 @@ val register_host : t -> string -> (t -> int64) -> unit
 
 (** Called on every basic-block entry with (function name, block index). *)
 val set_block_hook : t -> (t -> string -> int -> unit) -> unit
-
-(** Queue an on-stack-replacement image swap, applied at the next OSR
-    point (the next call dispatch — a fragment boundary). [slots] is the
-    byte-level data delta of the relink that produced [exe]
-    ({!Link.Incremental.last_slots}), replayed into live memory so the
-    data image matches a fresh load of [exe]. Code addresses are stable
-    across an incremental relink, so patching the delta and switching
-    the symbol tables is the whole migration: the about-to-dispatch
-    callee resolves against the new image while in-flight frames drain
-    on their retained old code. *)
-val request_osr : t -> exe:Link.Linker.exe -> slots:(int * int64) list -> unit
-
-(** Is a swap queued but not yet applied (no OSR point reached)? *)
-val osr_pending : t -> bool
-
-(** Migrations applied so far on this VM. *)
-val osr_migrations : t -> int
-
-(** Stack map captured by the most recent migration, if any. *)
-val last_stack_map : t -> stack_map option
 
 (** Charge extra cycles (instrumentation-engine overhead models). *)
 val add_cycles : t -> int -> unit

@@ -179,7 +179,9 @@ let test_tools_see_same_coverage () =
   let dbi = Baselines.Dbi.create Baselines.Dbi.Drcov in
   ignore (Fuzzer.Campaign.run_once ~setup:(Baselines.Dbi.attach dbi) exe input);
   let drcov_funcs =
-    Hashtbl.fold (fun (f, _) _ acc -> f :: acc) dbi.Baselines.Dbi.coverage []
+    (* DrCov translates a block on its first entry, so its code cache
+       holds exactly the blocks the run covered *)
+    Hashtbl.fold (fun (f, _) () acc -> f :: acc) dbi.Baselines.Dbi.translated []
     |> List.sort_uniq String.compare
   in
   (* the optimized binaries differ (inlining!), so compare only on the

@@ -242,16 +242,16 @@ let test_toggle_many_one_pass () =
   let batch = List.filteri (fun i _ -> i < 4) distinct in
   let k = List.length batch in
   Alcotest.(check bool) "found several distinct targets" true (k >= 2);
-  let events_before = List.length (Odin.Session.events session) in
+  let rebuilds_before = counter_value session "session.rebuilds" in
   (match
      Odin.Session.refresh_toggles session
        (List.map (fun p -> (p, true)) batch)
    with
   | Some (Odin.Session.Ok, Some _) -> ()
   | _ -> Alcotest.fail "batched refresh did not succeed");
-  Alcotest.(check int) "one recompile event for the whole batch"
-    (events_before + 1)
-    (List.length (Odin.Session.events session));
+  Alcotest.(check int) "one rebuild for the whole batch"
+    (rebuilds_before + 1)
+    (counter_value session "session.rebuilds");
   (* O(K): under Max partitioning each function is its own fragment *)
   Alcotest.(check int) "schedule visited exactly the K dirty fragments"
     (n_frags + k)

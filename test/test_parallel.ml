@@ -5,7 +5,7 @@
    the same VM behaviour. The cache tests pin down the campaign-facing
    contract: toggling a probe set off and on again relinks cached
    objects instead of recompiling (0 fragments compiled the second
-   time), the LRU bound evicts, and changing [opt_rounds] invalidates. *)
+   time) and the LRU bound evicts. *)
 
 module Pool = Support.Pool
 
@@ -22,12 +22,12 @@ let compile = Minic.Lower.compile
 
 (* Max partition: one fragment per function, so every rebuild is a
    genuinely multi-fragment batch. *)
-let make_session ?(pool = Pool.serial) ?cache_size ?opt_rounds () =
+let make_session ?(pool = Pool.serial) ?objects () =
   let m = compile target_src in
   let session =
     Odin.Session.create ~mode:Odin.Partition.Max ~keep:[ "main" ]
       ~runtime_globals:[ Odin.Cov.runtime_global m ]
-      ~pool ?cache_size ?opt_rounds m
+      ~pool ?objects m
   in
   let cov = Odin.Cov.setup session in
   ignore (Odin.Session.build session);
@@ -144,7 +144,9 @@ let test_cache_hit_on_toggle_round_trip () =
 let test_lru_eviction () =
   (* capacity 1 with a multi-fragment batch: every rebuild thrashes, so
      the round trip gets no hits and the eviction counter moves *)
-  let session, _ = make_session ~cache_size:1 () in
+  let session, _ =
+    make_session ~objects:(Odin.Session.object_cache ~size:1 ()) ()
+  in
   toggle_all session false;
   ignore (Odin.Session.refresh session);
   toggle_all session true;
@@ -159,26 +161,6 @@ let test_lru_eviction () =
       let rc, _ = run_main session x and rf, _ = run_main fresh x in
       Alcotest.(check int64) "same result" rf rc)
     probe_inputs
-
-let test_opt_rounds_invalidates_cache () =
-  let session, _ = make_session () in
-  (* sanity: with unchanged config the round trip is all hits *)
-  toggle_all session false;
-  ignore (Odin.Session.refresh session);
-  toggle_all session true;
-  let ev_warm = Option.get (Odin.Session.refresh session) in
-  Alcotest.(check bool) "warm hits first" true
-    (ev_warm.Odin.Session.ev_cache_hits > 0);
-  (* changing the opt bound changes the cache key: no stale reuse *)
-  Odin.Session.set_opt_rounds session 1;
-  toggle_all session false;
-  let ev3 = Option.get (Odin.Session.refresh session) in
-  Alcotest.(check int) "cold after rounds change" 0
-    ev3.Odin.Session.ev_cache_hits;
-  toggle_all session true;
-  let ev4 = Option.get (Odin.Session.refresh session) in
-  Alcotest.(check int) "enabled variant also cold" 0
-    ev4.Odin.Session.ev_cache_hits
 
 (* ---------------- compile-stage re-entrancy ---------------- *)
 
@@ -359,8 +341,6 @@ let () =
           Alcotest.test_case "toggle round trip hits" `Quick
             test_cache_hit_on_toggle_round_trip;
           Alcotest.test_case "lru eviction" `Quick test_lru_eviction;
-          Alcotest.test_case "opt_rounds invalidates" `Quick
-            test_opt_rounds_invalidates_cache;
         ] );
       ( "re-entrancy",
         [

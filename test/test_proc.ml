@@ -83,7 +83,6 @@ let sample_init =
     {
       Wire.in_id = 3;
       in_seed = 42;
-      in_mode = Odin.Partition.Auto;
       in_entry = "main";
       in_host = [ "h0"; "h1" ];
       in_seeds = [ "s0"; "" ];
@@ -190,8 +189,8 @@ let test_wire_torn_and_corrupt () =
       Wire.decode_frame (flip frame 10));
   expect_wire_error "trailing garbage" (fun () ->
       Wire.decode_frame (frame ^ "x"));
-  (* v4: Init dropped the incremental link/scheduler mode fields *)
-  Alcotest.(check int) "protocol version pinned" 4 Wire.version;
+  (* v5: Init dropped the partition mode *)
+  Alcotest.(check int) "protocol version pinned" 5 Wire.version;
   Alcotest.(check int) "header length pinned" 14 Wire.header_len
 
 (* ---------------- checkpoint files ------------------------------------- *)

@@ -3,9 +3,8 @@
 
    Units pin the mechanism down: the manager's dirty-set / by-target
    indexes, the index-driven schedule against the full propagate walk,
-   re-heal feeding the same dirty-set, cache hits skipping verify and
-   their invalidation on [set_opt_rounds], host-slab patching and slab
-   compaction.
+   re-heal feeding the same dirty-set, cache hits skipping verify,
+   host-slab patching and slab compaction.
 
    The equivalence suite is the tentpole invariant end to end: a
    200-toggle probe storm must produce bit-identical executable images,
@@ -216,7 +215,7 @@ let last_fragment_steps session =
   List.map Telemetry.Span.name
     (Telemetry.Span.children (List.nth frags (List.length frags - 1)))
 
-let test_memo_hits_and_invalidation () =
+let test_memo_hits () =
   let session = mk_session ~sched:true ~pool:Pool.serial () in
   let p = first_probe session in
   (* warm both toggle states *)
@@ -237,17 +236,6 @@ let test_memo_hits_and_invalidation () =
     (hits0 + List.length ev.Odin.Session.ev_fragments)
     (counter_value session "session.opt_memo_hits");
   Alcotest.(check bool) "hit skips verify" false
-    (List.mem "verify" (last_fragment_steps session));
-  (* the bound is part of every cache key: the next toggle recompiles *)
-  Odin.Session.set_opt_rounds session 3;
-  let hits1 = counter_value session "session.opt_memo_hits" in
-  Instr.Manager.set_enabled session.Odin.Session.manager p true;
-  let ev = Option.get (Odin.Session.refresh session) in
-  Alcotest.(check int) "no hit after invalidation" hits1
-    (counter_value session "session.opt_memo_hits");
-  Alcotest.(check int) "recompiled under the new bound" 0
-    ev.Odin.Session.ev_cache_hits;
-  Alcotest.(check bool) "a miss verifies" true
     (List.mem "verify" (last_fragment_steps session))
 
 (* ---------------- units: host-symbol slabs ---------------- *)
@@ -505,7 +493,7 @@ let () =
       ( "memo",
         [
           Alcotest.test_case "hits + invalidation on set_opt_rounds" `Quick
-            test_memo_hits_and_invalidation;
+            test_memo_hits;
         ] );
       ( "host-slabs",
         [

@@ -1,18 +1,17 @@
-(* Two-tier compilation and on-stack replacement.
+(* Two-tier compilation.
 
    The correctness bar mirrors the relink suite: tiering is a pure
    performance lever, so everything the VM can observe must be
    reachable from an untiered session too. A fully-promoted tiered
    session serves bit-identical objects and traces to an ODIN_TIER=0
-   session; a mid-run OSR migration produces the same trace as
-   restarting on the new image; farm promotion decisions are a pure
+   session; a promotion reaches the next execution, which runs on the
+   image it was created with; farm promotion decisions are a pure
    function of the barrier-merged profile, hence bit-identical across
    worker counts and driver substrates; and a torn tier-swap patch
    rolls back to the tier-0 image with the promotion queue intact. *)
 
 module Pool = Support.Pool
 module Fault = Support.Fault
-module Incr = Link.Incremental
 
 (* Re-exec shim for the process-farm determinism matrix (same trick as
    test_proc: the test binary doubles as the worker executable). *)
@@ -218,75 +217,6 @@ let test_promote_hot_from_live_profile () =
   Alcotest.(check (list int)) "untiered: no-op" []
     (Odin.Session.promote_hot (make_session ~tiered:false ()) fn_cycles)
 
-(* ---------------- OSR: migrate vs restart ---------------- *)
-
-let test_osr_refused_after_full_link () =
-  let s = make_session ~tiered:true () in
-  let vm = Vm.create (Odin.Session.executable s) in
-  (* the initial build is a full link: no slot delta exists, so the
-     session must refuse to migrate rather than guess *)
-  Alcotest.(check bool) "osr_into refuses" false (Odin.Session.osr_into s vm);
-  Alcotest.(check bool) "nothing queued" false (Vm.osr_pending vm);
-  Alcotest.(check int) "no migration recorded" 0
-    (Odin.Session.tier_stats s).Odin.Session.ts_osr_migrations
-
-let test_osr_migrate_equals_restart () =
-  let s = make_session ~tiered:true () in
-  let old_exe = Odin.Session.executable s in
-  let vm = Vm.create old_exe in
-  (* a genuinely in-progress execution: globals already mutated *)
-  ignore (Vm.call vm "main" [ 17L ]);
-  let warm = vm.Vm.cycles in
-  (* promote every helper but leave main's own fragment at tier 0, so
-     the frame in flight at the migration point is identical in both
-     images and the migrate-vs-restart traces must coincide exactly *)
-  let main_fid = Hashtbl.find s.Odin.Session.plan.Odin.Partition.frag_of "main" in
-  Odin.Session.promote s
-    (List.filter (fun fid -> fid <> main_fid) (all_fids s));
-  (match Odin.Session.try_refresh s with
-  | Some Odin.Session.Ok -> ()
-  | _ -> Alcotest.fail "promotion refresh failed");
-  Alcotest.(check bool) "promotion landed as a patch" true
-    (Incr.last s.Odin.Session.linker).Incr.ls_incremental;
-  (* migrate the live VM; the swap lands at the next call dispatch *)
-  Alcotest.(check bool) "osr_into accepts" true (Odin.Session.osr_into s vm);
-  Alcotest.(check bool) "swap queued" true (Vm.osr_pending vm);
-  (* the restart oracle: a fresh VM on the new image replaying the
-     same history *)
-  let fresh = Vm.create (Odin.Session.executable s) in
-  ignore (Vm.call fresh "main" [ 17L ]);
-  let fresh_warm = fresh.Vm.cycles in
-  let mig_cycles = ref warm and new_cycles = ref fresh_warm in
-  List.iter
-    (fun x ->
-      let rm = Vm.call vm "main" [ x ] in
-      let rn = Vm.call fresh "main" [ x ] in
-      let cm = vm.Vm.cycles - !mig_cycles in
-      let cn = fresh.Vm.cycles - !new_cycles in
-      mig_cycles := vm.Vm.cycles;
-      new_cycles := fresh.Vm.cycles;
-      Alcotest.(check int64)
-        (Printf.sprintf "return identical at %Ld" x)
-        rn rm;
-      Alcotest.(check int)
-        (Printf.sprintf "cycles identical at %Ld" x)
-        cn cm)
-    inputs;
-  (* the swap really happened, exactly once, with a stack map *)
-  Alcotest.(check bool) "swap applied" false (Vm.osr_pending vm);
-  Alcotest.(check int) "one migration at the VM" 1 (Vm.osr_migrations vm);
-  Alcotest.(check bool) "running on the new image" true
-    (vm.Vm.exe == Odin.Session.executable s);
-  (match Vm.last_stack_map vm with
-  | Some sm ->
-    Alcotest.(check bool) "stack map names the dispatch target" true
-      (String.length sm.Vm.sm_fn > 0);
-    Alcotest.(check bool) "register file captured" true
-      (Array.length sm.Vm.sm_regs > 0)
-  | None -> Alcotest.fail "no stack map captured");
-  Alcotest.(check int) "migration counted at the session" 1
-    (Odin.Session.tier_stats s).Odin.Session.ts_osr_migrations
-
 (* ---------------- ODIN_TIER env + equivalence storm ---------------- *)
 
 let with_env_tier v f =
@@ -483,13 +413,6 @@ let () =
             test_cache_keyed_on_tier;
           Alcotest.test_case "promote_hot from a live profile" `Quick
             test_promote_hot_from_live_profile;
-        ] );
-      ( "osr",
-        [
-          Alcotest.test_case "refused after a full link" `Quick
-            test_osr_refused_after_full_link;
-          Alcotest.test_case "migrate == restart" `Quick
-            test_osr_migrate_equals_restart;
         ] );
       ( "equivalence",
         [
