@@ -9,8 +9,7 @@
    and link durations are wall-clock measurements of this host (absolute
    values are smaller than the paper's LLVM-based numbers — our compiler
    and programs are smaller — but the relative shape is the experiment).
-   A Bechamel micro-benchmark suite at the end measures the core Odin
-   operations (partition, schedule, fragment recompile, link). *)
+   Wall-clock benchmarking of Odin's own operations lives in bench/e2e. *)
 
 let entry = "target_main"
 
@@ -1337,63 +1336,6 @@ let mutate_bench _cfg =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the core operations                    *)
-(* ------------------------------------------------------------------ *)
-
-let micro _cfg =
-  print_endline "\n== Bechamel micro-benchmarks (core Odin operations) ==";
-  let p = Workloads.Profile.find_exn "libpng" in
-  let m = Workloads.Generate.compile p in
-  let cls = Odin.Classify.classify ~keep:[ entry ] m in
-  let plan = Odin.Partition.plan ~keep:[ entry ] m cls in
-  let frag = plan.Odin.Partition.fragments.(0) in
-  let session =
-    Odin.Session.create ~keep:[ entry ] ~host:Workloads.Generate.host_functions
-      (Ir.Clone.clone_module m)
-  in
-  ignore (Odin.Session.build session);
-  let objs = Hashtbl.fold (fun _ o acc -> o :: acc) session.Odin.Session.cache [] in
-  let tests =
-    Bechamel.Test.make_grouped ~name:"odin"
-      [
-        Bechamel.Test.make ~name:"classify+partition (survey)"
-          (Bechamel.Staged.stage (fun () ->
-               let cls = Odin.Classify.classify ~keep:[ entry ] m in
-               ignore (Odin.Partition.plan ~keep:[ entry ] m cls)));
-        Bechamel.Test.make ~name:"schedule (Algorithm 2)"
-          (Bechamel.Staged.stage (fun () ->
-               ignore (Odin.Session.schedule ~initial:true session)));
-        Bechamel.Test.make ~name:"fragment recompile (materialize+opt+codegen)"
-          (Bechamel.Staged.stage (fun () ->
-               let fm =
-                 Odin.Partition.materialize plan frag ~source:(fun _ -> None)
-                   ~base:m
-               in
-               ignore (Opt.Pipeline.run_fragment fm);
-               ignore (Link.Objfile.of_module fm)));
-        Bechamel.Test.make ~name:"link all fragments"
-          (Bechamel.Staged.stage (fun () ->
-               ignore
-                 (Link.Linker.link ~host:Workloads.Generate.host_functions objs)));
-      ]
-  in
-  let open Bechamel in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg_b = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg_b instances tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "  %-48s %12.1f ns/run\n" name est
-      | _ -> Printf.printf "  %-48s (no estimate)\n" name)
-    results
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1443,5 +1385,4 @@ let () =
   if wants "farm" then farm cfg;
   if wants "farm_proc" then farm_proc cfg;
   if wants "mutate" then mutate_bench cfg;
-  if wants "micro" then micro cfg;
   Printf.printf "\nTotal bench time: %.1f s\n" (Unix.gettimeofday () -. t0)

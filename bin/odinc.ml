@@ -35,14 +35,8 @@ open Cmdliner
 
 module Snap = Telemetry.Snapshot
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let compile_source path = Minic.Lower.compile ~name:(Filename.basename path) (read_file path)
+let compile_source path =
+  Minic.Lower.compile ~name:(Filename.basename path) (Support.Fsio.read_file path)
 
 (* ---------------- fault injection ---------------- *)
 
@@ -188,7 +182,7 @@ let run_cmd =
     span "verify" (fun () -> Ir.Verify.run_exn m);
     let obj = span "codegen" (fun () -> Link.Objfile.of_module m) in
     let exe =
-      span "link" (fun () -> Link.Linker.link ~host:[ "printf"; "puts" ] [ obj ])
+      span "link" (fun () -> Link.Incremental.link ~host:[ "printf"; "puts" ] [ obj ])
     in
     let vm = Vm.create exe in
     let prof = Vm.enable_profile vm in

@@ -82,7 +82,7 @@ let build ?(keep = [ "target_main" ]) ?(host = []) (m : Ir.Modul.t) =
        ~ret:Ir.Types.Void);
   Ir.Verify.run_exn copy;
   let obj = Link.Objfile.of_module copy in
-  let exe = Link.Linker.link ~host:(runtime_fn :: host) [ obj ] in
+  let exe = Link.Incremental.link ~host:(runtime_fn :: host) [ obj ] in
   { exe; n_probes = !pid; log = Queue.create () }
 
 (** The host hook to register with the VM under {!runtime_fn}. *)

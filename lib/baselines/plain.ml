@@ -7,4 +7,4 @@ let build ?(keep = [ "target_main" ]) ?(host = []) (m : Ir.Modul.t) =
   ignore (Opt.Pipeline.run ~keep copy);
   Ir.Verify.run_exn copy;
   let obj = Link.Objfile.of_module copy in
-  Link.Linker.link ~host [ obj ]
+  Link.Incremental.link ~host [ obj ]

@@ -63,7 +63,7 @@ let build ?(keep = [ "target_main" ]) ?(host = []) (m : Ir.Modul.t) =
        (Ir.Modul.Zero n));
   Ir.Verify.run_exn copy;
   let obj = Link.Objfile.of_module copy in
-  let exe = Link.Linker.link ~host [ obj ] in
+  let exe = Link.Incremental.link ~host [ obj ] in
   { exe; n_counters = !idx; block_of_counter = Array.of_list (List.rev !mapping) }
 
 let read_counter vm t i =

@@ -1,4 +1,4 @@
-(** Incremental relinking (see the interface for the design).
+(** Linking and incremental relinking (see the interface for the design).
 
     Invariants the patch path preserves, so a patched [exe] is
     indistinguishable from one produced by the full slab link:
@@ -7,7 +7,8 @@
       symbol shape: objects claim slabs in link order, symbols claim
       slots in [o_syms] order, so re-placing an object whose shape still
       fits its slab reproduces exactly the addresses a from-scratch slab
-      link would assign;
+      link would assign — both paths place, bind and relocate through
+      the same routines below;
     - a failed patch is observably a no-op: the symbol tables are
       patched in place (O(changed) bindings, not O(program) copies)
       under an undo journal that restores every touched binding before
@@ -73,9 +74,9 @@ type state = {
   s_rev : (string, (string * string * int) list) Hashtbl.t;
       (* reverse relocation index: target symbol ->
          (referencing object, data symbol, byte offset) sites *)
-  s_comdat : (string, string) Hashtbl.t;  (* COMDAT key -> winning object *)
+  s_comdat : (string, int) Hashtbl.t;
+      (* COMDAT key -> link-order index of the winning object *)
   s_exe : L.exe;
-  s_data_end : int;
 }
 
 type link_stats = {
@@ -146,8 +147,6 @@ let create () =
 let stats t = t.stats
 let last t = t.last
 
-let reset t = t.state <- None
-
 (* Overflows tolerated before the inflated high-water capacities are
    judged pathological and dropped (slab compaction). *)
 let compact_threshold = 8
@@ -177,61 +176,218 @@ let slabs t =
         })
       st.s_names
 
-let is_code (s : Objfile.sym) =
-  match s.Objfile.s_def with Objfile.Code _ -> true | Objfile.Data _ -> false
-
 let sig_of (obj : Objfile.t) =
   List.map
     (fun (s : Objfile.sym) ->
       {
         g_name = s.Objfile.s_name;
-        g_code = is_code s;
+        g_code =
+          (match s.Objfile.s_def with
+          | Objfile.Code _ -> true
+          | Objfile.Data _ -> false);
         g_global = s.Objfile.s_global;
         g_comdat = s.Objfile.s_comdat;
       })
     obj.Objfile.o_syms
 
 (* ------------------------------------------------------------------ *)
-(* Full link: Linker.link semantics, but slab-at-a-time addresses.     *)
+(* Link routines, shared by the full link and the patch path           *)
 (* ------------------------------------------------------------------ *)
 
-(* [hw] holds per-object overflow high-water marks; a listed object's
-   slab is sized for max(current shape, high water) so it can absorb
-   the growth that made the patch path overflow. *)
-let full_link ?(hw : (string, int * int) Hashtbl.t = Hashtbl.create 0) ~host
-    (objs : Objfile.t list) =
-  (* symbol choice: strong resolution + COMDAT first-definition-wins,
-     with Linker's exact duplicate diagnostics *)
-  let chosen : (string, Objfile.sym) Hashtbl.t = Hashtbl.create 128 in
-  let defined_in : (string, string) Hashtbl.t = Hashtbl.create 128 in
+(* Table writes: direct in a full link; journaled in a patch, so a
+   failed patch can restore every binding it touched. *)
+type setter = { set : 'k 'v. ('k, 'v) Hashtbl.t -> 'k -> 'v -> unit }
+
+let direct = { set = Hashtbl.replace }
+
+(* A binding hook: (name, exported, address) of every symbol, alias or
+   host thunk a routine binds, seen before the binding is written. *)
+let ignore_binding _ _ _ = ()
+
+(* Symbols the object at link-order index [i] contributes under the
+   COMDAT-winner map [comdat] (key -> index of the winning object):
+   every non-COMDAT symbol, plus the first symbol of each group the
+   object won. *)
+let contributed comdat i (obj : Objfile.t) =
+  let won = ref [] in
+  List.filter
+    (fun (s : Objfile.sym) ->
+      match s.Objfile.s_comdat with
+      | None -> true
+      | Some k ->
+        Hashtbl.find_opt comdat k = Some i
+        && (not (List.mem k !won))
+        && (won := k :: !won;
+            true))
+    obj.Objfile.o_syms
+
+(* Symbol choice: strong-symbol resolution with COMDAT folding (the
+   first definition of a group wins, later ones are discarded). Returns
+   the COMDAT-winner map and each object with the symbols it
+   contributes, in link order.
+   @raise Linker.Duplicate_symbol on a collision outside a shared group *)
+let choose objs =
   let comdat = Hashtbl.create 16 in
-  let choose (obj : Objfile.t) (s : Objfile.sym) =
-    if Hashtbl.mem chosen s.Objfile.s_name then
-      raise
-        (L.Duplicate_symbol
-           {
-             symbol = s.Objfile.s_name;
-             in_object = obj.Objfile.o_name;
-             prior =
-               Option.value ~default:"?"
-                 (Hashtbl.find_opt defined_in s.Objfile.s_name);
-           });
-    Hashtbl.replace chosen s.Objfile.s_name s;
-    Hashtbl.replace defined_in s.Objfile.s_name obj.Objfile.o_name
-  in
-  List.iter
-    (fun (obj : Objfile.t) ->
+  List.iteri
+    (fun i (obj : Objfile.t) ->
       List.iter
         (fun (s : Objfile.sym) ->
           match s.Objfile.s_comdat with
-          | Some key ->
-            if not (Hashtbl.mem comdat key) then begin
-              Hashtbl.replace comdat key obj.Objfile.o_name;
-              choose obj s
-            end
-          | None -> choose obj s)
+          | Some k when not (Hashtbl.mem comdat k) -> Hashtbl.replace comdat k i
+          | _ -> ())
         obj.Objfile.o_syms)
     objs;
+  let defined_in = Hashtbl.create 128 in
+  let chosen =
+    List.mapi
+      (fun i (obj : Objfile.t) ->
+        let mine = contributed comdat i obj in
+        List.iter
+          (fun (s : Objfile.sym) ->
+            match Hashtbl.find_opt defined_in s.Objfile.s_name with
+            | Some prior ->
+              raise
+                (L.Duplicate_symbol
+                   { symbol = s.Objfile.s_name; in_object = obj.Objfile.o_name; prior })
+            | None -> Hashtbl.replace defined_in s.Objfile.s_name obj.Objfile.o_name)
+          mine;
+        (obj, mine))
+      objs
+  in
+  (comdat, chosen)
+
+(* The exact size of a symbol list: (code slots, 8-aligned data bytes). *)
+let shape mine =
+  List.fold_left
+    (fun (ncode, dtotal) (s : Objfile.sym) ->
+      match s.Objfile.s_def with
+      | Objfile.Code _ -> (ncode + 1, dtotal)
+      | Objfile.Data d -> (ncode, dtotal + align8 (Bytes.length d.Objfile.d_bytes)))
+    (0, 0) mine
+
+(* Placement: lay [mine] out in [o_syms] order, code in consecutive
+   16-byte slots from [cb], data at 8-aligned offsets from [db], and
+   bind each symbol in [exe] through [w]. Returns the placement log and
+   the data entries, whose bytes are not relocated yet. *)
+let place w (exe : L.exe) ~note ~cb ~db mine =
+  let pc = ref cb and pd = ref db in
+  let placed = ref [] and entries = ref [] in
+  List.iter
+    (fun (s : Objfile.sym) ->
+      let name = s.Objfile.s_name in
+      match s.Objfile.s_def with
+      | Objfile.Code mf ->
+        let addr = Int64.of_int !pc in
+        note name s.Objfile.s_global addr;
+        w.set exe.L.sym_addr name addr;
+        w.set exe.L.fn_at_addr addr name;
+        w.set exe.L.funcs name mf;
+        placed := (name, true, addr) :: !placed;
+        pc := !pc + 16
+      | Objfile.Data d ->
+        let base = align8 !pd in
+        let addr = Int64.of_int base in
+        note name s.Objfile.s_global addr;
+        w.set exe.L.sym_addr name addr;
+        placed := (name, false, addr) :: !placed;
+        entries :=
+          {
+            e_sym = name;
+            e_base = base;
+            e_bytes = d.Objfile.d_bytes;
+            e_relocs = d.Objfile.d_relocs;
+          }
+          :: !entries;
+        pd := base + Bytes.length d.Objfile.d_bytes)
+    mine;
+  (List.rev !placed, List.rev !entries)
+
+(* Host-symbol binding: each reference of [obj] that nothing defines
+   yet and the runtime provides gets the next thunk address off the
+   host-slab [cursor] (16-byte steps below the code base). Host calls
+   resolve by name at run time, so only the cursor order differs between
+   a full link and a patch.
+   @raise Linker.Undefined_symbol for a reference that is neither, unless
+   it names an alias of some object in [objs] (bound after this step) *)
+let bind_hosts w (exe : L.exe) ~note ~cursor objs (obj : Objfile.t) =
+  List.iter
+    (fun u ->
+      if not (Hashtbl.mem exe.L.sym_addr u) then
+        if Hashtbl.mem exe.L.host_syms u then begin
+          let addr = Int64.of_int !cursor in
+          note u false addr;
+          w.set exe.L.sym_addr u addr;
+          w.set exe.L.host_at_addr addr u;
+          cursor := !cursor + 16
+        end
+        else if
+          not
+            (List.exists
+               (fun (o : Objfile.t) ->
+                 List.exists (fun (a, _, _) -> String.equal a u) o.Objfile.o_aliases)
+               objs)
+        then
+          raise
+            (L.Undefined_symbol { symbol = u; referenced_from = obj.Objfile.o_name }))
+    obj.Objfile.o_undefined
+
+(* Alias binding: each alias of [obj] takes its target's address; an
+   alias to a function is callable.
+   @raise Linker.Undefined_symbol for a target nothing defines *)
+let bind_aliases w (exe : L.exe) ~note (obj : Objfile.t) =
+  List.iter
+    (fun (alias, target, global) ->
+      match Hashtbl.find_opt exe.L.sym_addr target with
+      | Some addr ->
+        note alias global addr;
+        w.set exe.L.sym_addr alias addr;
+        Option.iter (w.set exe.L.funcs alias) (Hashtbl.find_opt exe.L.funcs target)
+      | None ->
+        raise
+          (L.Undefined_symbol { symbol = target; referenced_from = "alias @" ^ alias }))
+    obj.Objfile.o_aliases
+
+(* Relocation patching: fresh copies of object [name]'s data entries
+   with every slot holding its target's address. Each slot adds its
+   edge to the reverse index [rev] and is passed to [slot].
+   @raise Linker.Undefined_symbol for a target nothing defines *)
+let relocate w (exe : L.exe) ~rev ~slot name entries =
+  List.map
+    (fun e ->
+      let bytes = Bytes.copy e.e_bytes in
+      List.iter
+        (fun (off, target) ->
+          match Hashtbl.find_opt exe.L.sym_addr target with
+          | Some addr ->
+            Bytes.set_int64_le bytes off addr;
+            w.set rev target
+              ((name, e.e_sym, off)
+              :: Option.value ~default:[] (Hashtbl.find_opt rev target));
+            slot bytes off target
+          | None ->
+            raise
+              (L.Undefined_symbol
+                 { symbol = target; referenced_from = "data relocation" }))
+        e.e_relocs;
+      { e with e_bytes = bytes })
+    entries
+
+(* A slab's share of the image: its data entries. *)
+let slab_image sl = List.map (fun e -> (e.e_base, e.e_bytes)) sl.sl_entries
+
+(* ------------------------------------------------------------------ *)
+(* Full link                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Link [objs] into fresh slabs, one per object in link order; [cap name
+   shape] gives the capacity (code slots, data bytes) of [name]'s slab
+   from its exact [shape]. Returns the link state and the resolution
+   work (references plus relocation slots). The image is built from the
+   slabs in link order, so a one-shot link of objects that share a name
+   is still whole; only the link state, keyed by name, needs unique
+   names. *)
+let full_link ~cap ~host (objs : Objfile.t list) =
+  let comdat, chosen = choose objs in
   let exe =
     {
       L.funcs = Hashtbl.create 64;
@@ -240,180 +396,66 @@ let full_link ?(hw : (string, int * int) Hashtbl.t = Hashtbl.create 0) ~host
       host_at_addr = Hashtbl.create 8;
       host_syms = Hashtbl.create 8;
       image = [];
-      data_end = L.data_base;
-      symbols_resolved = 0;
     }
   in
-  (* slab assignment and symbol placement, object by object *)
-  let next_code = ref L.code_base in
-  let next_data = ref L.data_base in
-  let slabs = Hashtbl.create 16 in
-  List.iter
-    (fun (obj : Objfile.t) ->
-      let mine =
-        List.filter
-          (fun (s : Objfile.sym) ->
-            match Hashtbl.find_opt chosen s.Objfile.s_name with
-            | Some s' -> s' == s
-            | None -> false)
-          obj.Objfile.o_syms
-      in
-      let ncode = List.length (List.filter is_code mine) in
-      let dtotal =
-        List.fold_left
-          (fun acc (s : Objfile.sym) ->
-            match s.Objfile.s_def with
-            | Objfile.Data d -> acc + align8 (Bytes.length d.Objfile.d_bytes)
-            | Objfile.Code _ -> acc)
-          0 mine
-      in
-      let hw_code, hw_data =
-        Option.value ~default:(0, 0) (Hashtbl.find_opt hw obj.Objfile.o_name)
-      in
-      let code_cap = code_capacity (max ncode hw_code) in
-      let data_cap = data_capacity (max dtotal hw_data) in
-      let cb = !next_code and db = !next_data in
-      next_code := cb + (code_cap * 16);
-      next_data := db + data_cap;
-      let pc = ref cb and pd = ref db in
-      let placed = ref [] and entries = ref [] in
-      List.iter
-        (fun (s : Objfile.sym) ->
-          match s.Objfile.s_def with
-          | Objfile.Code mf ->
-            let addr = Int64.of_int !pc in
-            Hashtbl.replace exe.L.sym_addr s.Objfile.s_name addr;
-            Hashtbl.replace exe.L.fn_at_addr addr s.Objfile.s_name;
-            Hashtbl.replace exe.L.funcs s.Objfile.s_name mf;
-            placed := (s.Objfile.s_name, true, addr) :: !placed;
-            pc := !pc + 16
-          | Objfile.Data d ->
-            let base = align8 !pd in
-            Hashtbl.replace exe.L.sym_addr s.Objfile.s_name (Int64.of_int base);
-            placed := (s.Objfile.s_name, false, Int64.of_int base) :: !placed;
-            entries :=
-              {
-                e_sym = s.Objfile.s_name;
-                e_base = base;
-                e_bytes = d.Objfile.d_bytes;
-                (* patched copy below *)
-                e_relocs = d.Objfile.d_relocs;
-              }
-              :: !entries;
-            pd := base + Bytes.length d.Objfile.d_bytes)
-        mine;
-      Hashtbl.replace slabs obj.Objfile.o_name
-        {
-          sl_sig = sig_of obj;
-          sl_aliases = obj.Objfile.o_aliases;
-          sl_code_base = cb;
-          sl_code_cap = code_cap;
-          sl_data_base = db;
-          sl_data_cap = data_cap;
-          sl_placed = List.rev !placed;
-          sl_entries = List.rev !entries;
-        })
-    objs;
-  (* host symbols and undefined references — Linker.link verbatim *)
+  let next_code = ref L.code_base and next_data = ref L.data_base in
+  let laid_out =
+    List.map
+      (fun ((obj : Objfile.t), mine) ->
+        let code_cap, data_cap = cap obj.Objfile.o_name (shape mine) in
+        let cb = !next_code and db = !next_data in
+        next_code := cb + (code_cap * 16);
+        next_data := db + data_cap;
+        let placed, entries = place direct exe ~note:ignore_binding ~cb ~db mine in
+        ( obj,
+          {
+            sl_sig = sig_of obj;
+            sl_aliases = obj.Objfile.o_aliases;
+            sl_code_base = cb;
+            sl_code_cap = code_cap;
+            sl_data_base = db;
+            sl_data_cap = data_cap;
+            sl_placed = placed;
+            sl_entries = entries;
+          } ))
+      chosen
+  in
   List.iter (fun h -> Hashtbl.replace exe.L.host_syms h ()) host;
-  let next_host = ref (L.code_base - 0x10000) in
+  let cursor = ref (L.code_base - 0x10000) in
   let resolved = ref 0 in
   List.iter
     (fun (obj : Objfile.t) ->
-      List.iter
-        (fun u ->
-          incr resolved;
-          if not (Hashtbl.mem exe.L.sym_addr u) then begin
-            if Hashtbl.mem exe.L.host_syms u then begin
-              let addr = Int64.of_int !next_host in
-              Hashtbl.replace exe.L.sym_addr u addr;
-              Hashtbl.replace exe.L.host_at_addr addr u;
-              next_host := !next_host + 16
-            end
-            else begin
-              let is_alias =
-                List.exists
-                  (fun (o : Objfile.t) ->
-                    List.exists
-                      (fun (a, _, _) -> String.equal a u)
-                      o.Objfile.o_aliases)
-                  objs
-              in
-              if not is_alias then
-                raise
-                  (L.Undefined_symbol
-                     { symbol = u; referenced_from = obj.Objfile.o_name })
-            end
-          end)
-        obj.Objfile.o_undefined)
+      resolved := !resolved + List.length obj.Objfile.o_undefined;
+      bind_hosts direct exe ~note:ignore_binding ~cursor objs obj)
     objs;
-  (* aliases *)
-  List.iter
-    (fun (obj : Objfile.t) ->
-      List.iter
-        (fun (alias, target, _) ->
-          match Hashtbl.find_opt exe.L.sym_addr target with
-          | Some addr ->
-            Hashtbl.replace exe.L.sym_addr alias addr;
-            (match Hashtbl.find_opt exe.L.funcs target with
-            | Some mf -> Hashtbl.replace exe.L.funcs alias mf
-            | None -> ())
-          | None ->
-            raise
-              (L.Undefined_symbol
-                 { symbol = target; referenced_from = "alias @" ^ alias }))
-        obj.Objfile.o_aliases)
-    objs;
-  (* patch data relocations on fresh copies; build the reverse index *)
+  List.iter (bind_aliases direct exe ~note:ignore_binding) objs;
   let rev = Hashtbl.create 64 in
-  List.iter
-    (fun (obj : Objfile.t) ->
-      let sl = Hashtbl.find slabs obj.Objfile.o_name in
-      let entries =
-        List.map
-          (fun e ->
-            let bytes = Bytes.copy e.e_bytes in
-            List.iter
-              (fun (off, target) ->
-                incr resolved;
-                (match Hashtbl.find_opt exe.L.sym_addr target with
-                | Some addr -> Bytes.set_int64_le bytes off addr
-                | None ->
-                  raise
-                    (L.Undefined_symbol
-                       { symbol = target; referenced_from = "data relocation" }));
-                Hashtbl.replace rev target
-                  ((obj.Objfile.o_name, e.e_sym, off)
-                  :: Option.value ~default:[] (Hashtbl.find_opt rev target)))
-              e.e_relocs;
-            { e with e_bytes = bytes })
-          sl.sl_entries
-      in
-      Hashtbl.replace slabs obj.Objfile.o_name { sl with sl_entries = entries })
-    objs;
-  let names = List.map (fun (o : Objfile.t) -> o.Objfile.o_name) objs in
-  let image =
-    List.concat_map
-      (fun name ->
-        List.map
-          (fun e -> (e.e_base, e.e_bytes))
-          (Hashtbl.find slabs name).sl_entries)
-      names
+  let slot _ _ _ = incr resolved in
+  let linked =
+    List.map
+      (fun ((obj : Objfile.t), sl) ->
+        let name = obj.Objfile.o_name in
+        let entries = relocate direct exe ~rev ~slot name sl.sl_entries in
+        (name, { sl with sl_entries = entries }))
+      laid_out
   in
-  let exe =
-    { exe with L.image; data_end = !next_data; symbols_resolved = !resolved }
-  in
+  let slabs = Hashtbl.create 16 in
+  List.iter (fun (name, sl) -> Hashtbl.replace slabs name sl) linked;
+  let image = List.concat_map (fun (_, sl) -> slab_image sl) linked in
   ( {
       s_host = host;
-      s_host_next = !next_host;
-      s_names = names;
+      s_host_next = !cursor;
+      s_names = List.map (fun (o : Objfile.t) -> o.Objfile.o_name) objs;
       s_slabs = slabs;
       s_rev = rev;
       s_comdat = comdat;
-      s_exe = exe;
-      s_data_end = !next_data;
+      s_exe = { exe with L.image };
     },
     !resolved )
+
+let link ?(host = []) objs =
+  Support.Fault.hit "link";
+  (fst (full_link ~cap:(fun _ shape -> shape) ~host objs)).s_exe
 
 (* ------------------------------------------------------------------ *)
 (* Patch path                                                          *)
@@ -436,26 +478,6 @@ let sorted_exports items =
 
 let sorted_comdats items =
   List.sort compare (List.filter_map (fun i -> i.g_comdat) items)
-
-(* Symbols this object contributes under the committed COMDAT-winner
-   map (first sym per key within the object, mirroring [choose]). *)
-let winners st (obj : Objfile.t) =
-  let seen = Hashtbl.create 4 in
-  List.filter
-    (fun (s : Objfile.sym) ->
-      match s.Objfile.s_comdat with
-      | None -> true
-      | Some k ->
-        (match Hashtbl.find_opt st.s_comdat k with
-        | Some winner when winner = obj.Objfile.o_name ->
-          if Hashtbl.mem seen k then false
-          else begin
-            Hashtbl.replace seen k ();
-            true
-          end
-        | Some _ -> false
-        | None -> raise Fallback))
-    obj.Objfile.o_syms
 
 (* Journaled in-place table updates. The patch path mutates the
    committed tables directly — touching O(changed) bindings instead of
@@ -480,7 +502,8 @@ let journal_remove undo tbl k =
     Hashtbl.remove tbl k
 
 (* Returns [(state', exe, symbols_patched, relocs_patched)]; raises
-   [Fallback] when the cheap path cannot be proven safe. *)
+   [Fallback] (or a diagnostic of the shared routines) when the cheap
+   path cannot be proven safe. *)
 let incremental_link state ~host ~changed (objs : Objfile.t list) =
   (* host compared as a *set*: an added symbol gets a thunk address off
      the persistent host-slab cursor below; a removed one would leave a
@@ -494,24 +517,27 @@ let incremental_link state ~host ~changed (objs : Objfile.t list) =
   if names <> state.s_names then raise Fallback;
   let changed_set = Hashtbl.create 8 in
   List.iter (fun n -> Hashtbl.replace changed_set n ()) changed;
-  let changed_objs =
-    List.filter
-      (fun (o : Objfile.t) -> Hashtbl.mem changed_set o.Objfile.o_name)
-      objs
-  in
+  (* the changed objects with their link-order index *)
+  let changed_at = ref [] in
+  List.iteri
+    (fun i (o : Objfile.t) ->
+      if Hashtbl.mem changed_set o.Objfile.o_name then
+        changed_at := (i, o) :: !changed_at)
+    objs;
+  let changed_at = List.rev !changed_at in
+  let changed_objs = List.map snd changed_at in
   if changed_objs = [] && HostSet.is_empty added_host then
     (state, state.s_exe, 0, 0)
   else begin
     Support.Fault.hit "link.patch";
-    let old = state.s_exe in
+    let exe = state.s_exe in
     (* in place with an undo journal: the committed tables are patched
        directly (image bytes stay copy-on-write, so any exe captured
        earlier keeps its byte image); the journal restores every
        binding if anything below raises *)
     let undo = ref [] in
-    let sym_addr = old.L.sym_addr in
-    let funcs = old.L.funcs in
-    let fn_at_addr = old.L.fn_at_addr in
+    let w = { set = (fun tbl k v -> journal_set undo tbl k v) } in
+    let sym_addr = exe.L.sym_addr in
     let slabs = state.s_slabs in
     let rev = state.s_rev in
     let syms_patched = ref 0 and relocs_patched = ref 0 in
@@ -519,20 +545,23 @@ let incremental_link state ~host ~changed (objs : Objfile.t list) =
     let prev_addr = Hashtbl.create 16 in (* pre-patch address of removed syms *)
     let placed_log = ref [] in (* (name, expected addr) for verification *)
     let slot_log = ref [] in (* (bytes, off, target) for verification *)
-    let old_entries = ref [] in (* pre-patch (obj, entries), for the rev index *)
-    let host_cursor = ref state.s_host_next in
+    let cursor = ref state.s_host_next in
+    let note name global addr =
+      incr syms_patched;
+      placed_log := (name, addr) :: !placed_log;
+      if global && Hashtbl.find_opt prev_addr name <> Some addr then
+        Hashtbl.replace moved name ()
+    in
     try
     (* phase 0: host slab — register added host symbols (journaled like
        every other table write, so a failed patch forgets them too) *)
     HostSet.iter
-      (fun h ->
-        if not (Hashtbl.mem old.L.host_syms h) then
-          journal_set undo old.L.host_syms h ())
+      (fun h -> if not (Hashtbl.mem exe.L.host_syms h) then w.set exe.L.host_syms h ())
       added_host;
     (* phase 1: validate each changed object against its slab, then
        re-place its symbols at the addresses a full slab link would pick *)
     List.iter
-      (fun (obj : Objfile.t) ->
+      (fun (i, (obj : Objfile.t)) ->
         let sl =
           match Hashtbl.find_opt slabs obj.Objfile.o_name with
           | Some sl -> sl
@@ -542,16 +571,8 @@ let incremental_link state ~host ~changed (objs : Objfile.t list) =
         if obj.Objfile.o_aliases <> sl.sl_aliases then raise Fallback;
         if sorted_exports nsig <> sorted_exports sl.sl_sig then raise Fallback;
         if sorted_comdats nsig <> sorted_comdats sl.sl_sig then raise Fallback;
-        let mine = winners state obj in
-        let ncode = List.length (List.filter is_code mine) in
-        let dtotal =
-          List.fold_left
-            (fun acc (s : Objfile.sym) ->
-              match s.Objfile.s_def with
-              | Objfile.Data d -> acc + align8 (Bytes.length d.Objfile.d_bytes)
-              | Objfile.Code _ -> acc)
-            0 mine
-        in
+        let mine = contributed state.s_comdat i obj in
+        let ncode, dtotal = shape mine in
         if ncode > sl.sl_code_cap || dtotal > sl.sl_data_cap then
           raise (Overflow (obj.Objfile.o_name, ncode, dtotal));
         (* remove the stale placement, remembering each pre-patch
@@ -568,8 +589,8 @@ let incremental_link state ~host ~changed (objs : Objfile.t list) =
             stash name;
             journal_remove undo sym_addr name;
             if code then begin
-              journal_remove undo fn_at_addr addr;
-              journal_remove undo funcs name
+              journal_remove undo exe.L.fn_at_addr addr;
+              journal_remove undo exe.L.funcs name
             end)
           sl.sl_placed;
         List.iter
@@ -577,119 +598,58 @@ let incremental_link state ~host ~changed (objs : Objfile.t list) =
             Hashtbl.replace old_names a ();
             stash a;
             journal_remove undo sym_addr a;
-            journal_remove undo funcs a)
+            journal_remove undo exe.L.funcs a)
           sl.sl_aliases;
-        (* re-place *)
-        let pc = ref sl.sl_code_base and pd = ref sl.sl_data_base in
-        let placed = ref [] and entries = ref [] in
+        (* drop the object's reverse-index edges; relocating its new
+           entries below adds the current ones *)
         List.iter
-          (fun (s : Objfile.sym) ->
-            let name = s.Objfile.s_name in
-            (* a name owned by another object: let the full link raise
-               its Duplicate_symbol diagnostic *)
-            if (not (Hashtbl.mem old_names name)) && Hashtbl.mem sym_addr name
-            then raise Fallback;
-            incr syms_patched;
-            match s.Objfile.s_def with
-            | Objfile.Code mf ->
-              let addr = Int64.of_int !pc in
-              journal_set undo sym_addr name addr;
-              journal_set undo fn_at_addr addr name;
-              journal_set undo funcs name mf;
-              placed := (name, true, addr) :: !placed;
-              placed_log := (name, addr) :: !placed_log;
-              if s.Objfile.s_global && Hashtbl.find_opt prev_addr name <> Some addr
-              then Hashtbl.replace moved name ();
-              pc := !pc + 16
-            | Objfile.Data d ->
-              let base = align8 !pd in
-              let addr = Int64.of_int base in
-              journal_set undo sym_addr name addr;
-              placed := (name, false, addr) :: !placed;
-              placed_log := (name, addr) :: !placed_log;
-              if s.Objfile.s_global && Hashtbl.find_opt prev_addr name <> Some addr
-              then Hashtbl.replace moved name ();
-              entries :=
-                {
-                  e_sym = name;
-                  e_base = base;
-                  e_bytes = d.Objfile.d_bytes;
-                  e_relocs = d.Objfile.d_relocs;
-                }
-                :: !entries;
-              pd := base + Bytes.length d.Objfile.d_bytes)
-          mine;
-        old_entries := (obj.Objfile.o_name, sl.sl_entries) :: !old_entries;
-        journal_set undo slabs obj.Objfile.o_name
-          {
-            sl with
-            sl_sig = nsig;
-            sl_placed = List.rev !placed;
-            sl_entries = List.rev !entries;
-          })
-      changed_objs;
+          (fun e ->
+            List.iter
+              (fun (_, target) ->
+                match Hashtbl.find_opt rev target with
+                | None -> ()
+                | Some sites -> (
+                  match
+                    List.filter (fun (src, _, _) -> src <> obj.Objfile.o_name) sites
+                  with
+                  | [] -> journal_remove undo rev target
+                  | kept -> journal_set undo rev target kept))
+              e.e_relocs)
+          sl.sl_entries;
+        (* re-place; a name the object did not own before, or defines
+           twice, collides: fall back so the full link raises its
+           Duplicate_symbol diagnostic *)
+        let claim name global addr =
+          if (not (Hashtbl.mem old_names name)) && Hashtbl.mem sym_addr name then
+            raise Fallback;
+          Hashtbl.remove old_names name;
+          note name global addr
+        in
+        let placed, entries =
+          place w exe ~note:claim ~cb:sl.sl_code_base ~db:sl.sl_data_base mine
+        in
+        w.set slabs obj.Objfile.o_name
+          { sl with sl_sig = nsig; sl_placed = placed; sl_entries = entries })
+      changed_at;
     (* phase 1b: re-register the changed objects' aliases *)
-    List.iter
-      (fun (obj : Objfile.t) ->
-        List.iter
-          (fun (alias, target, global) ->
-            match Hashtbl.find_opt sym_addr target with
-            | Some addr ->
-              journal_set undo sym_addr alias addr;
-              incr syms_patched;
-              placed_log := (alias, addr) :: !placed_log;
-              if global && Hashtbl.find_opt prev_addr alias <> Some addr
-              then Hashtbl.replace moved alias ();
-              (match Hashtbl.find_opt funcs target with
-              | Some mf -> journal_set undo funcs alias mf
-              | None -> journal_remove undo funcs alias)
-            | None -> raise Fallback)
-          obj.Objfile.o_aliases)
-      changed_objs;
-    (* phase 2: every reference of a changed object must resolve. A new
-       reference to a host symbol gets a thunk address off the
-       persistent host-slab cursor (addresses live only in the symbol
-       tables — host calls resolve by name at run time, so placement
-       order is unobservable); anything else truly undefined falls back
-       so the full link diagnoses it *)
-    List.iter
-      (fun (obj : Objfile.t) ->
-        List.iter
-          (fun u ->
-            if not (Hashtbl.mem sym_addr u) then
-              if Hashtbl.mem old.L.host_syms u then begin
-                let addr = Int64.of_int !host_cursor in
-                journal_set undo sym_addr u addr;
-                journal_set undo old.L.host_at_addr addr u;
-                host_cursor := !host_cursor + 16;
-                incr syms_patched;
-                placed_log := (u, addr) :: !placed_log
-              end
-              else raise Fallback)
-          obj.Objfile.o_undefined)
-      changed_objs;
+    List.iter (bind_aliases w exe ~note) changed_objs;
+    (* phase 2: every reference of a changed object must resolve; a new
+       host reference gets the next thunk address off the persistent
+       host-slab cursor, anything else falls back so the full link
+       diagnoses it *)
+    List.iter (bind_hosts w exe ~note ~cursor objs) changed_objs;
     (* phase 3: patch the changed objects' own relocations on fresh
        copies *)
     List.iter
       (fun (obj : Objfile.t) ->
         let sl = Hashtbl.find slabs obj.Objfile.o_name in
         let entries =
-          List.map
-            (fun e ->
-              let bytes = Bytes.copy e.e_bytes in
-              List.iter
-                (fun (off, target) ->
-                  match Hashtbl.find_opt sym_addr target with
-                  | Some addr ->
-                    Bytes.set_int64_le bytes off addr;
-                    incr relocs_patched;
-                    slot_log := (bytes, off, target) :: !slot_log
-                  | None -> raise Fallback)
-                e.e_relocs;
-              { e with e_bytes = bytes })
-            sl.sl_entries
+          relocate w exe ~rev obj.Objfile.o_name sl.sl_entries
+            ~slot:(fun bytes off target ->
+              incr relocs_patched;
+              slot_log := (bytes, off, target) :: !slot_log)
         in
-        journal_set undo slabs obj.Objfile.o_name { sl with sl_entries = entries })
+        w.set slabs obj.Objfile.o_name { sl with sl_entries = entries })
       changed_objs;
     (* phase 4: inbound fix-up — the reverse index names every slot in
        an *unchanged* object that stores a moved symbol's address;
@@ -732,39 +692,8 @@ let incremental_link state ~host ~changed (objs : Objfile.t list) =
                 { e with e_bytes = bytes })
             sl.sl_entries
         in
-        journal_set undo slabs src { sl with sl_entries = entries })
+        w.set slabs src { sl with sl_entries = entries })
       inbound;
-    (* refresh the reverse index in place: the changed objects' *old*
-       relocation lists name exactly the edges to drop, their new
-       entries the edges to add — O(changed relocs), not O(all edges) *)
-    List.iter
-      (fun (name, entries) ->
-        List.iter
-          (fun e ->
-            List.iter
-              (fun (_, target) ->
-                match Hashtbl.find_opt rev target with
-                | None -> ()
-                | Some sites -> (
-                  match List.filter (fun (src, _, _) -> src <> name) sites with
-                  | [] -> journal_remove undo rev target
-                  | kept -> journal_set undo rev target kept))
-              e.e_relocs)
-          entries)
-      !old_entries;
-    List.iter
-      (fun (obj : Objfile.t) ->
-        let sl = Hashtbl.find slabs obj.Objfile.o_name in
-        List.iter
-          (fun e ->
-            List.iter
-              (fun (off, target) ->
-                journal_set undo rev target
-                  ((obj.Objfile.o_name, e.e_sym, off)
-                  :: Option.value ~default:[] (Hashtbl.find_opt rev target)))
-              e.e_relocs)
-          sl.sl_entries)
-      changed_objs;
     (* torn-patch injection: corrupt one of our own writes *)
     if Support.Fault.torn "link.patch" then begin
       match (!slot_log, !placed_log) with
@@ -772,7 +701,7 @@ let incremental_link state ~host ~changed (objs : Objfile.t list) =
         Bytes.set_int64_le bytes off
           (Int64.add (Bytes.get_int64_le bytes off) 0xF1L)
       | [], (name, addr) :: _ ->
-        journal_set undo sym_addr name (Int64.add addr 8L)
+        w.set sym_addr name (Int64.add addr 8L)
       | [], [] -> ()
     end;
     (* verify-after-patch: every re-placed symbol and every rewritten
@@ -798,31 +727,10 @@ let incremental_link state ~host ~changed (objs : Objfile.t list) =
                (Printf.sprintf "torn patch detected: relocation to @%s" target)))
       !slot_log;
     let image =
-      List.concat_map
-        (fun name ->
-          List.map
-            (fun e -> (e.e_base, e.e_bytes))
-            (Hashtbl.find slabs name).sl_entries)
-        state.s_names
+      List.concat_map (fun name -> slab_image (Hashtbl.find slabs name)) state.s_names
     in
-    let exe =
-      {
-        old with
-        L.funcs;
-        sym_addr;
-        fn_at_addr;
-        image;
-        symbols_resolved = !syms_patched + !relocs_patched;
-      }
-    in
-    ( {
-        state with
-        s_slabs = slabs;
-        s_rev = rev;
-        s_exe = exe;
-        s_host = host;
-        s_host_next = !host_cursor;
-      },
+    let exe = { exe with L.image } in
+    ( { state with s_exe = exe; s_host = host; s_host_next = !cursor },
       exe,
       !syms_patched,
       !relocs_patched )
@@ -845,7 +753,7 @@ let relink ?(incremental = true) ?(host = []) t ~changed
       | Some state -> (
         try Some (incremental_link state ~host ~changed objs)
         with
-        | Fallback ->
+        | Fallback | L.Undefined_symbol _ ->
           t.stats.st_fallbacks <- t.stats.st_fallbacks + 1;
           None
         | Overflow (name, ncode, dtotal) ->
@@ -879,7 +787,14 @@ let relink ?(incremental = true) ?(host = []) t ~changed
       };
     exe
   | None ->
-    let state, resolved = full_link ~hw:t.hw ~host objs in
+    (* slabs padded for growth, and for any recorded high-water shape *)
+    let cap name (ncode, dtotal) =
+      let hw_code, hw_data =
+        Option.value ~default:(0, 0) (Hashtbl.find_opt t.hw name)
+      in
+      (code_capacity (max ncode hw_code), data_capacity (max dtotal hw_data))
+    in
+    let state, resolved = full_link ~cap ~host objs in
     t.state <- Some state;
     t.stats.st_full <- t.stats.st_full + 1;
     t.last <-

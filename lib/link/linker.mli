@@ -1,7 +1,10 @@
-(** The linker: combines object files into an executable image, with
-    strong-symbol resolution, COMDAT folding (first definition wins),
-    address assignment, absolute data relocations, alias resolution, and
-    host-symbol binding for runtime-provided functions. *)
+(** The linked executable, the addresses it is laid out at, and the
+    linker's diagnostics. {!Incremental} is the linker: {!Incremental.link}
+    links once and {!Incremental.relink} keeps link state across
+    refreshes; both produce an {!exe} with strong-symbol resolution,
+    COMDAT folding (first definition of a group wins), aliases bound to
+    their base symbol's address, absolute data relocations patched, and
+    references the runtime provides bound to host thunks. *)
 
 exception Link_error of string
 
@@ -27,23 +30,17 @@ type exe = {
   host_at_addr : (int64, string) Hashtbl.t;
   host_syms : (string, unit) Hashtbl.t;
   image : (int * Bytes.t) list;  (** (base address, initialized bytes) *)
-  data_end : int;
-  symbols_resolved : int;  (** linker work metric for the cost model *)
 }
 
+(** First code address: code symbols take opaque 16-byte slots from
+    here, host thunks 16-byte slots from [code_base - 0x10000]. *)
 val code_base : int
+
+(** First data address: data is laid out in a flat little-endian image
+    from here, each symbol 8-aligned. *)
 val data_base : int
 
 (** @raise Link_error for unknown symbols. *)
 val addr_of : exe -> string -> int64
 
 val find_func : exe -> string -> Codegen.Mach.mfunc option
-
-(** Link objects into an executable; [host] names symbols satisfied by
-    the runtime. Declares the ["link"] fault site.
-    @raise Duplicate_symbol on a strong-symbol collision
-    @raise Undefined_symbol on an unsatisfiable reference *)
-val link : ?host:string list -> Objfile.t list -> exe
-
-(** Modelled linking work in cycles (symbols + relocations resolved). *)
-val link_cost : exe -> int

@@ -75,12 +75,6 @@ type t = {
 (* Filesystem helpers                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 let rec rm_rf path =
   if Sys.file_exists path then
     if Sys.is_directory path then begin
@@ -88,12 +82,6 @@ let rec rm_rf path =
       (try Sys.rmdir path with Sys_error _ -> ())
     end
     else try Sys.remove path with Sys_error _ -> ()
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let write_file path contents =
   let oc = open_out_bin path in
@@ -139,25 +127,25 @@ let with_store_lock t cmd f = with_fd_lock t.lockf_fd cmd f
     A version mismatch in [root/format] — a format bump — invalidates
     cleanly: all objects are dropped and the stamp rewritten. *)
 let open_store ?(version = 1) dir =
-  mkdir_p dir;
+  Fsio.mkdir_p dir;
   let lockf_fd = open_lock_fd dir in
   (* Migration is structural: wipe + restamp must not race another
      process's writes, so it runs under the exclusive lock. *)
   with_fd_lock lockf_fd Unix.F_LOCK (fun () ->
       let stamp = Printf.sprintf "%s %d\n" magic version in
-      let current = try Some (read_file (format_file dir)) with Sys_error _ -> None in
+      let current = try Some (Fsio.read_file (format_file dir)) with Sys_error _ -> None in
       if current <> Some stamp then begin
         rm_rf (objects_dir dir);
         rm_rf (tmp_dir dir);
         (* publish the new stamp atomically too *)
-        mkdir_p (tmp_dir dir);
+        Fsio.mkdir_p (tmp_dir dir);
         let tmp = Filename.concat (tmp_dir dir) "format.tmp" in
         write_file tmp stamp;
         Sys.rename tmp (format_file dir)
       end;
-      mkdir_p (objects_dir dir);
-      mkdir_p (tmp_dir dir);
-      mkdir_p (Filename.concat dir "quarantine"));
+      Fsio.mkdir_p (objects_dir dir);
+      Fsio.mkdir_p (tmp_dir dir);
+      Fsio.mkdir_p (Filename.concat dir "quarantine"));
   {
     root = dir;
     version;
@@ -195,7 +183,7 @@ type read_result = Hit of string | Absent | Corrupt of string
 let read_entry t path =
   if not (Sys.file_exists path) then Absent
   else
-    match read_file path with
+    match Fsio.read_file path with
     | exception Sys_error m -> Corrupt m
     | raw -> (
       match String.index_opt raw '\n' with
@@ -285,7 +273,7 @@ let put t key data =
   try
     Fault.hit "store.write";
     let path = entry_path t key in
-    mkdir_p (Filename.dirname path);
+    Fsio.mkdir_p (Filename.dirname path);
     if Fault.torn "store.write" then begin
       (* simulated crash mid-write on a non-atomic filesystem: final
          path exists, payload truncated *)
@@ -392,38 +380,25 @@ let scan_entries t =
       match compare ma mb with 0 -> String.compare pa pb | c -> c)
     !acc
 
-(** Size/age-bounded eviction of cold entries. Entries older than
-    [max_age] seconds (by mtime, against [now]) are always evicted;
-    after that, the coldest survivors are evicted until the store fits
-    in [max_bytes]. Omitting a bound disables it. [?now] exists so
-    tests can pin the clock. Eviction order is deterministic: oldest
-    mtime first, path as tie-break. Best-effort like every store
-    operation — an entry that vanishes mid-scan is simply skipped. *)
-let gc ?max_bytes ?max_age ?now t =
+(** Size-bounded eviction of cold entries: the coldest entries are
+    evicted until the store fits in [max_bytes]. Eviction order is
+    deterministic: oldest mtime first, path as tie-break. Best-effort
+    like every store operation — an entry that vanishes mid-scan is
+    simply skipped. *)
+let gc ~max_bytes t =
   with_store_lock t Unix.F_LOCK @@ fun () ->
-  let now = match now with Some n -> n | None -> Unix.gettimeofday () in
   let entries = scan_entries t in
   let scanned = List.length entries in
-  let expired, fresh =
-    match max_age with
-    | None -> ([], entries)
-    | Some age -> List.partition (fun (_, _, mtime) -> now -. mtime > age) entries
+  let total = List.fold_left (fun a (_, sz, _) -> a + sz) 0 entries in
+  (* [entries] is coldest-first; evict from the front until the
+     remainder fits *)
+  let rec take acc remaining = function
+    | [] -> List.rev acc
+    | ((_, sz, _) as e) :: rest ->
+      if remaining > max_bytes then take (e :: acc) (remaining - sz) rest
+      else List.rev acc
   in
-  let total_fresh = List.fold_left (fun a (_, sz, _) -> a + sz) 0 fresh in
-  let over_budget =
-    match max_bytes with
-    | None -> []
-    | Some budget ->
-      (* [fresh] is coldest-first; evict from the front until the
-         remainder fits *)
-      let rec take acc total = function
-        | [] -> List.rev acc
-        | ((_, sz, _) as e) :: rest ->
-          if total > budget then take (e :: acc) (total - sz) rest else List.rev acc
-      in
-      take [] total_fresh fresh
-  in
-  let victims = expired @ over_budget in
+  let victims = take [] total entries in
   let evicted = ref 0 and freed = ref 0 in
   List.iter
     (fun (path, sz, _) ->
@@ -442,6 +417,5 @@ let gc ?max_bytes ?max_age ?now t =
     gc_evicted = !evicted;
     gc_freed_bytes = !freed;
     gc_live = scanned - !evicted;
-    gc_live_bytes =
-      List.fold_left (fun a (_, sz, _) -> a + sz) 0 entries - !freed;
+    gc_live_bytes = total - !freed;
   }

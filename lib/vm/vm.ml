@@ -236,6 +236,7 @@ let call vm fname args =
   List.iteri (fun i v -> vm.regs.(i) <- v) args;
   vm.regs.(reg_sp) <- Int64.of_int vm.stack_base;
   let stack : frame list ref = ref [] in
+  let depth = ref 0 in (* List.length !stack, kept O(1) *)
   let cur = ref entry in
   let pc = ref 0 in
   let running = ref true in
@@ -244,7 +245,8 @@ let call vm fname args =
     match Link.Linker.find_func vm.exe name with
     | Some mf ->
       stack := { fr_fn = !cur; fr_pc = ret_pc } :: !stack;
-      if List.length !stack > 4096 then fault "call stack overflow";
+      incr depth;
+      if !depth > 4096 then fault "call stack overflow";
       (match vm.prof with Some p -> p.pr_calls <- p.pr_calls + 1 | None -> ());
       cur := mf;
       pc := 0;
@@ -367,6 +369,7 @@ let call vm fname args =
       | [] -> running := false
       | fr :: rest ->
         stack := rest;
+        decr depth;
         cur := fr.fr_fn;
         pc := fr.fr_pc)
     | Mpush r ->

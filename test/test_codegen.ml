@@ -5,7 +5,7 @@
 
 let compile_to_vm ?(host = []) m =
   let obj = Link.Objfile.of_module m in
-  let exe = Link.Linker.link ~host:(List.map fst host) [ obj ] in
+  let exe = Link.Incremental.link ~host:(List.map fst host) [ obj ] in
   let vm = Vm.create exe in
   List.iter (fun (n, f) -> Vm.register_host vm n f) host;
   vm
@@ -133,7 +133,7 @@ let test_linker_duplicate_symbol () =
   Alcotest.check_raises "duplicate"
     (Link.Linker.Duplicate_symbol
        { symbol = "f"; in_object = "program"; prior = "program" }) (fun () ->
-      ignore (Link.Linker.link [ o1; o2 ]));
+      ignore (Link.Incremental.link [ o1; o2 ]));
   (* the typed error renders a readable diagnostic naming both objects *)
   Alcotest.(check (option string))
     "message"
@@ -159,7 +159,7 @@ let test_linker_comdat_folding () =
   in
   let o1 = Link.Objfile.of_module (mk ()) in
   let o2 = Link.Objfile.of_module (mk ()) in
-  let exe = Link.Linker.link [ o1; o2 ] in
+  let exe = Link.Incremental.link [ o1; o2 ] in
   let vm = Vm.create exe in
   Alcotest.(check int64) "folded" 5L (Vm.call vm "tpl_fn" [ 4L ])
 
@@ -178,7 +178,7 @@ declare external @missing_fn() i32
   Alcotest.check_raises "undefined"
     (Link.Linker.Undefined_symbol
        { symbol = "missing_fn"; referenced_from = "parsed" })
-    (fun () -> ignore (Link.Linker.link [ obj ]));
+    (fun () -> ignore (Link.Incremental.link [ obj ]));
   Alcotest.(check (option string))
     "message"
     (Some "undefined symbol @missing_fn (referenced from parsed)")
@@ -208,7 +208,7 @@ entry:
 }
 |}
   in
-  let exe = Link.Linker.link [ Link.Objfile.of_module m1; Link.Objfile.of_module m2 ] in
+  let exe = Link.Incremental.link [ Link.Objfile.of_module m1; Link.Objfile.of_module m2 ] in
   let vm = Vm.create exe in
   Alcotest.(check int64) "cross-object" 21L (Vm.call vm "caller" [ 7L ])
 
@@ -224,7 +224,7 @@ entry:
 |}
   in
   (* alias with local base: fine, both names callable at the same address *)
-  let exe = Link.Linker.link [ Link.Objfile.of_module m ] in
+  let exe = Link.Incremental.link [ Link.Objfile.of_module m ] in
   let vm = Vm.create exe in
   Alcotest.(check int64) "via alias" 9L (Vm.call vm "a" []);
   Alcotest.(check int64) "same address" (Link.Linker.addr_of exe "base")

@@ -519,7 +519,7 @@ let test_gc_eviction_order () =
   in
   let per_entry = total / 3 in
   (* budget for two entries: exactly the coldest is evicted *)
-  let g = Objstore.gc ~max_bytes:(2 * per_entry) ~now:4000. st in
+  let g = Objstore.gc ~max_bytes:(2 * per_entry) st in
   Alcotest.(check int) "scanned all" 3 g.Objstore.gc_scanned;
   Alcotest.(check int) "evicted coldest" 1 g.Objstore.gc_evicted;
   Alcotest.(check int) "two live" 2 g.Objstore.gc_live;
@@ -530,22 +530,10 @@ let test_gc_eviction_order () =
   Alcotest.(check int) "gc_runs" 1 s.Objstore.st_gc_runs;
   Alcotest.(check int) "st_gc_evicted" 1 s.Objstore.st_gc_evicted
 
-let test_gc_age_bound () =
-  with_store @@ fun st ->
-  ignore (Objstore.put st "ancient" "x");
-  ignore (Objstore.put st "recent" "y");
-  set_age st "ancient" ~mtime:1000.;
-  set_age st "recent" ~mtime:9000.;
-  (* age bound fires regardless of any size budget *)
-  let g = Objstore.gc ~max_age:100. ~now:9050. st in
-  Alcotest.(check int) "expired evicted" 1 g.Objstore.gc_evicted;
-  Alcotest.(check bool) "ancient gone" true (Objstore.get st "ancient" = None);
-  Alcotest.(check bool) "recent kept" true (Objstore.get st "recent" <> None)
-
 let test_gc_noop_within_budget () =
   with_store @@ fun st ->
   ignore (Objstore.put st "a" "payload");
-  let g = Objstore.gc ~max_bytes:max_int ~now:0. st in
+  let g = Objstore.gc ~max_bytes:max_int st in
   Alcotest.(check int) "nothing evicted" 0 g.Objstore.gc_evicted;
   Alcotest.(check int) "live" 1 g.Objstore.gc_live
 
@@ -628,7 +616,6 @@ let () =
         [
           Alcotest.test_case "coldest-first eviction" `Quick
             test_gc_eviction_order;
-          Alcotest.test_case "age bound" `Quick test_gc_age_bound;
           Alcotest.test_case "no-op within budget" `Quick
             test_gc_noop_within_budget;
           Alcotest.test_case "farm with shared store" `Quick

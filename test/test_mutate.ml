@@ -146,7 +146,7 @@ let exe_obs (exe : L.exe) =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) exe.L.sym_addr []
     |> List.sort compare
   in
-  (img, syms, exe.L.data_end)
+  (img, syms)
 
 let test_disarmed_is_pristine () =
   let m = compile unit_src in

@@ -170,7 +170,7 @@ let link_fragments ?(host = []) (m : Ir.Modul.t) (plan : Odin.Partition.plan) =
            ignore (Opt.Pipeline.run_fragment fm);
            Link.Objfile.of_module fm)
   in
-  Link.Linker.link ~host objs
+  Link.Incremental.link ~host objs
 
 let test_partition_links_and_runs () =
   List.iter

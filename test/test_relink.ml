@@ -1,10 +1,11 @@
-(* The incremental linker.
+(* The linker and its incremental relinking.
 
-   Units pin down the mechanism with hand-built objects: slab
-   allocation and growth padding, address stability for unchanged
-   objects, the reverse relocation index (an unchanged object's slot is
-   patched when its target moves), every fallback trigger, diagnostics
-   parity with the full path, and torn-patch detection.
+   Units pin down the mechanism with hand-built objects: the one-shot
+   link's back-to-back layout, slab allocation and growth padding,
+   address stability for unchanged objects, the reverse relocation
+   index (an unchanged object's slot is patched when its target moves),
+   every fallback trigger, the literal diagnostics of a fresh link and
+   of a patch that falls back, and torn-patch detection.
 
    The equivalence suite is the tentpole invariant end to end: a
    200-toggle probe storm over a session must produce bit-identical
@@ -74,7 +75,7 @@ let exe_obs (exe : L.exe) =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) exe.L.sym_addr []
     |> List.sort compare
   in
-  (img, syms, exe.L.data_end)
+  (img, syms)
 
 let image_slot exe base =
   match List.assoc_opt base exe.L.image with
@@ -94,6 +95,34 @@ let test_capacity_policy () =
       Alcotest.(check int) (Printf.sprintf "data cap %d" n) want
         (Incr.data_capacity n))
     [ (0, 0); (1, 64); (64, 64); (65, 128); (200, 256) ]
+
+(* ---------------- units: one-shot layout ---------------- *)
+
+(* A one-shot link sizes every slab exactly to its object, so symbols
+   lie back to back in link order. *)
+let test_one_shot_layout () =
+  let exe =
+    Incr.link
+      [
+        obj "A" [ code "a1"; data ~size:5 "ad"; code ~global:false "a2" ];
+        obj "B" [ data ~size:12 ~relocs:[ (0, "a2") ] "bd"; code "b1"; data "be" ];
+      ]
+  in
+  let at name = Int64.to_int (addr exe name) in
+  List.iteri
+    (fun i name ->
+      Alcotest.(check int) (name ^ " code slot") (L.code_base + (16 * i)) (at name))
+    [ "a1"; "a2"; "b1" ];
+  (* 5 bytes round up to 8, 12 to 16 *)
+  List.iter
+    (fun (name, off) ->
+      Alcotest.(check int) (name ^ " data offset") (L.data_base + off) (at name))
+    [ ("ad", 0); ("bd", 8); ("be", 24) ];
+  Alcotest.(check (list int)) "image entries in link order"
+    [ at "ad"; at "bd"; at "be" ]
+    (List.map fst exe.L.image);
+  Alcotest.(check int64) "bd's slot holds a2's address" (addr exe "a2")
+    (image_slot exe (at "bd"))
 
 (* ---------------- units: slabs + address stability ---------------- *)
 
@@ -233,7 +262,7 @@ let test_cost_model () =
     inc.Incr.ls_cost;
   Alcotest.(check bool) "patch is cheaper" true (inc.Incr.ls_cost < full.Incr.ls_cost)
 
-(* ---------------- units: diagnostics parity ---------------- *)
+(* ---------------- units: diagnostics ---------------- *)
 
 let message_of f =
   try
@@ -241,35 +270,47 @@ let message_of f =
     None
   with e -> L.link_error_message e
 
-let test_diagnostics_match_full_linker () =
-  (* duplicate symbol, fresh link *)
-  let dup = [ obj "A" [ code "f" ]; obj "B" [ code "f" ] ] in
-  Alcotest.(check (option string))
-    "duplicate: same diagnostic"
-    (message_of (fun () -> L.link dup))
-    (message_of (fun () -> Incr.relink (Incr.create ()) ~changed:[] dup));
-  (* undefined symbol, fresh link *)
-  let undef = [ obj "A" [ code "f" ]; obj ~undef:[ "missing" ] "B" [ code "g" ] ] in
-  Alcotest.(check (option string))
-    "undefined: same diagnostic"
-    (message_of (fun () -> L.link undef))
-    (message_of (fun () -> Incr.relink (Incr.create ()) ~changed:[] undef));
-  (* a changed object introducing an unresolvable reference: the patch
-     path must fall back and raise the canonical diagnostic *)
-  let t = Incr.create () in
-  ignore (Incr.relink t ~changed:[] (objs_v1 ()));
-  let objs2 =
+let test_diagnostics () =
+  let dup_text = Some "duplicate symbol @f: defined in A and again in B" in
+  let undef_text = Some "undefined symbol @missing (referenced from B)" in
+  let fresh what objs want =
+    Alcotest.(check (option string)) (what ^ ", one-shot link") want
+      (message_of (fun () -> Incr.link objs));
+    Alcotest.(check (option string)) (what ^ ", first relink") want
+      (message_of (fun () -> Incr.relink (Incr.create ()) ~changed:[] objs))
+  in
+  fresh "duplicate" [ obj "A" [ code "f" ]; obj "B" [ code "f" ] ] dup_text;
+  fresh "undefined"
+    [ obj "A" [ code "f" ]; obj ~undef:[ "missing" ] "B" [ code "g" ] ]
+    undef_text;
+  (* a changed B that collides or cannot resolve: the patch path must
+     fall back and the full link raise the diagnostic *)
+  let after_change what objs1 objs2 want =
+    let t = Incr.create () in
+    ignore (Incr.relink t ~changed:[] objs1);
+    Alcotest.(check (option string)) (what ^ " after change") want
+      (message_of (fun () -> Incr.relink t ~changed:[ "B" ] objs2));
+    Alcotest.(check int) (what ^ ": counted as fallback") 1
+      (Incr.stats t).Incr.st_fallbacks
+  in
+  after_change "duplicate"
+    [ obj "A" [ code "f" ]; obj "B" [ code "g" ] ]
+    [ obj "A" [ code "f" ]; obj "B" [ code "g"; code ~global:false "f" ] ]
+    dup_text;
+  after_change "undefined" (objs_v1 ())
     [
       obj "A" [ code "a1"; code ~global:false "a2"; data "atab" ];
       obj ~undef:[ "missing" ] "B" [ code "b1"; data ~relocs:[ (0, "a1") ] "btab" ];
     ]
-  in
-  Alcotest.(check (option string))
-    "undefined after change: same diagnostic"
-    (message_of (fun () -> L.link objs2))
-    (message_of (fun () -> Incr.relink t ~changed:[ "B" ] objs2));
-  Alcotest.(check bool) "counted as fallback" true
-    ((Incr.stats t).Incr.st_fallbacks >= 1)
+    undef_text;
+  (* one name defined twice inside the changed object *)
+  after_change "defined twice"
+    [ obj "A" [ code "f" ]; obj "B" [ code "g"; code ~global:false "h" ] ]
+    [
+      obj "A" [ code "f" ];
+      obj "B" [ code "g"; code ~global:false "h"; code ~global:false "h" ];
+    ]
+    (Some "duplicate symbol @h: defined in B and again in B")
 
 (* ---------------- units: torn-patch detection ---------------- *)
 
@@ -420,6 +461,7 @@ let () =
     [
       ( "slabs",
         [
+          Alcotest.test_case "one-shot layout" `Quick test_one_shot_layout;
           Alcotest.test_case "capacity policy" `Quick test_capacity_policy;
           Alcotest.test_case "layout + address stability" `Quick
             test_slab_layout_and_stability;
@@ -430,8 +472,8 @@ let () =
         ] );
       ( "diagnostics",
         [
-          Alcotest.test_case "parity with full linker" `Quick
-            test_diagnostics_match_full_linker;
+          Alcotest.test_case "literal texts, fresh and after change" `Quick
+            test_diagnostics;
           Alcotest.test_case "torn patch detected" `Quick test_torn_patch_detected;
         ] );
       ( "equivalence",

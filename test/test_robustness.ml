@@ -12,7 +12,7 @@ let interp m fname args =
 
 let vm_of_module ?(host = []) m =
   let obj = Link.Objfile.of_module m in
-  let exe = Link.Linker.link ~host [ obj ] in
+  let exe = Link.Incremental.link ~host [ obj ] in
   Vm.create exe
 
 (* ---------------- IR printer/parser edges ---------------- *)
@@ -254,6 +254,18 @@ let test_codegen_stack_overflow_faults () =
        false
      with Vm.Fault _ -> true)
 
+(* the limit is 4096 frames below the entry call: depth 4096 returns,
+   depth 4097 faults with the overflow message *)
+let test_codegen_call_depth_boundary () =
+  let src = "int f(int n) { if (n == 0) return 0; return 1 + f(n - 1); }" in
+  Alcotest.(check int64) "depth 4096" 4096L
+    (Vm.call (vm_of_module (compile src)) "f" [ 4096L ]);
+  Alcotest.(check (option string)) "depth 4097" (Some "call stack overflow")
+    (try
+       ignore (Vm.call (vm_of_module (compile src)) "f" [ 4097L ]);
+       None
+     with Vm.Fault m -> Some m)
+
 let test_codegen_big_switch_jump_table () =
   let cases =
     String.concat "\n"
@@ -316,7 +328,7 @@ entry:
 }
 |}
   in
-  let exe = Link.Linker.link [ Link.Objfile.of_module m1; Link.Objfile.of_module m2 ] in
+  let exe = Link.Incremental.link [ Link.Objfile.of_module m1; Link.Objfile.of_module m2 ] in
   let vm = Vm.create exe in
   Alcotest.(check int64) "alias call" 8L (Vm.call vm "caller" [ 7L ])
 
@@ -346,7 +358,7 @@ entry:
   | _ -> ());
   Alcotest.(check bool) "collision detected" true
     (try
-       ignore (Link.Linker.link [ o1; Link.Objfile.of_module m2 ]);
+       ignore (Link.Incremental.link [ o1; Link.Objfile.of_module m2 ]);
        false
      with Link.Linker.Duplicate_symbol { symbol = "helper"; _ } -> true)
 
@@ -878,6 +890,7 @@ let () =
           Alcotest.test_case "spill pressure O2" `Quick test_codegen_spill_pressure_optimized;
           Alcotest.test_case "deep recursion" `Quick test_codegen_deep_recursion;
           Alcotest.test_case "stack overflow faults" `Quick test_codegen_stack_overflow_faults;
+          Alcotest.test_case "call depth boundary" `Quick test_codegen_call_depth_boundary;
           Alcotest.test_case "100-case switch" `Quick test_codegen_big_switch_jump_table;
           Alcotest.test_case "six arguments" `Quick test_codegen_six_arguments;
           Alcotest.test_case "mutual recursion" `Quick test_codegen_mutual_recursion;

@@ -268,7 +268,7 @@ let test_objstore_corruption_quarantined () =
   Objstore.put st "key" "precious bytes";
   (* flip payload bytes in place: digest check must catch it *)
   let path = Objstore.entry_path st "key" in
-  let raw = Objstore.read_file path in
+  let raw = Support.Fsio.read_file path in
   let mangled = Bytes.of_string raw in
   Bytes.set mangled (Bytes.length mangled - 1) '!';
   Objstore.write_file path (Bytes.to_string mangled);
@@ -278,7 +278,7 @@ let test_objstore_corruption_quarantined () =
   Alcotest.(check int) "counted" 1 (Objstore.stats st).Objstore.st_quarantined;
   (* truncated (torn) entry likewise *)
   Objstore.put st "key" "precious bytes";
-  let raw = Objstore.read_file path in
+  let raw = Support.Fsio.read_file path in
   Objstore.write_file path (String.sub raw 0 (String.length raw - 4));
   Alcotest.(check (option string)) "torn entry is a miss" None (Objstore.get st "key");
   Alcotest.(check int) "torn quarantined too" 2 (Objstore.quarantine_length st);
