@@ -11,7 +11,9 @@
 # base first, even rounds the checkout. The pooled runs of each side go
 # to `odin_bench compare`, which prints one row per workload and metric.
 # Exits non-zero when a run's outputs are wrong or a metric reads worse
-# or missing. A row whose runs spread wider than its bound reads
+# or missing. For each row that reads worse the gate prints both sides'
+# per-run values, one line per side, so a single slow run can be told
+# from a shift. A row whose runs spread wider than its bound reads
 # "unresolved" and passes; the gate names those rows in one GitHub
 # `::warning::` annotation, since it could not judge them. Needs git,
 # dune, jq and awk on PATH.
@@ -63,6 +65,14 @@ cd "$head"
 status=0
 ./_build/default/bench/e2e/odin_bench.exe compare "$work/base.json" "$work/head.json" \
   | tee "$work/compare.txt" || status=$?
+awk '$NF == "worse" && $2 != "(all)" { print $1, $2 }' "$work/compare.txt" |
+  while read -r workload metric; do
+    for side in base head; do
+      echo "$workload $metric $side runs: $(jq -r --arg w "$workload" --arg m "$metric" \
+        '[.runs[] | select(.workload == $w) | .metrics[$m].value // empty]
+         | map(tostring) | join(" ")' "$work/$side.json")"
+    done
+  done
 unresolved=$(awk '$NF == "unresolved" && $2 != "(all)" {
   printf "%s%s %s", sep, $1, $2; sep = ", " }' "$work/compare.txt")
 if [ -n "$unresolved" ]; then

@@ -424,24 +424,10 @@ let fuzz_cmd =
              The current interval is reported in the time report and \
              journal.")
   in
-  let promote_share =
-    Arg.(
-      value & opt float 0.0
-      & info [ "promote-share" ] ~docv:"F"
-          ~doc:
-            "Tiered compilation for the farm (with --workers): worker \
-             sessions compile fresh fragments through the single-pass \
-             tier-0 baseline backend, and at each barrier every fragment \
-             whose share of the barrier-merged cycle profile reaches F is \
-             promoted to the optimizing tier. Promotion decisions are a \
-             pure function of the merged profile, so results stay \
-             bit-identical across worker counts and farm modes. 0 \
-             (default) keeps the farm untiered.")
-  in
   (* ------------- farm mode (--workers N) ------------- *)
   let run_farm ~r ~pool ~m ~entry ~execs ~no_prune ~workers ~sync_interval
       ~prune_quorum ~cache_limit ~cache_dir ~journal ~farm_mode ~checkpoint
-      ~resume ~worker_timeout ~adaptive_sync ~promote_share =
+      ~resume ~worker_timeout ~adaptive_sync =
     let cfg =
       {
         Farm.default_config with
@@ -451,7 +437,6 @@ let fuzz_cmd =
         fc_prune_quorum = (if no_prune then 0 else prune_quorum);
         fc_cache_limit = cache_limit;
         fc_adaptive_sync = adaptive_sync;
-        fc_promote_share = promote_share;
       }
     in
     let resume =
@@ -508,20 +493,6 @@ let fuzz_cmd =
     Printf.printf "cache      : %d cross-worker object hits\n"
       st.Farm.fs_cross_hits;
     Printf.printf "recompiles : %d barrier refreshes\n" st.Farm.fs_recompiles;
-    (if promote_share > 0. then
-       match farm_mode with
-       | `Domains ->
-         Printf.printf
-           "tier       : %d promotions landed (threshold %.2f), %d tier-0 \
-            compiles\n"
-           (counter_total r "farm.tier_promotions")
-           promote_share
-           (counter_total r "session.tier0_compiles")
-       | `Procs ->
-         (* worker sessions live in their own processes; their tier
-            counters land in the per-worker journals, not here *)
-         Printf.printf "tier       : tiered workers (threshold %.2f)\n"
-           promote_share);
     Printf.printf
       "relinks    : %d incremental, %d full (%d symbols patched, %d shard \
        waits)\n"
@@ -567,7 +538,7 @@ let fuzz_cmd =
   in
   let run file entry execs no_prune jobs metrics_csv span_limit cache_dir
       workers sync_interval prune_quorum cache_limit journal farm_mode
-      checkpoint resume worker_timeout adaptive_sync promote_share fault_plan
+      checkpoint resume worker_timeout adaptive_sync fault_plan
       time_report trace_out =
     install_faults fault_plan;
     with_diagnostics @@ fun () ->
@@ -589,7 +560,7 @@ let fuzz_cmd =
     | Some n ->
       run_farm ~r ~pool ~m ~entry ~execs ~no_prune ~workers:n ~sync_interval
         ~prune_quorum ~cache_limit ~cache_dir ~journal ~farm_mode ~checkpoint
-        ~resume ~worker_timeout ~adaptive_sync ~promote_share;
+        ~resume ~worker_timeout ~adaptive_sync;
       (match metrics_csv with
       | Some path -> (
         try
@@ -762,8 +733,8 @@ let fuzz_cmd =
       const run $ file $ entry $ execs $ no_prune $ jobs $ metrics_csv
       $ span_limit $ cache_dir $ workers $ sync_interval $ prune_quorum
       $ cache_limit $ journal $ farm_mode $ checkpoint $ resume
-      $ worker_timeout $ adaptive_sync $ promote_share
-      $ fault_plan_arg $ time_report_arg $ trace_out_arg)
+      $ worker_timeout $ adaptive_sync $ fault_plan_arg $ time_report_arg
+      $ trace_out_arg)
 
 (* ---------------- bench-diff ---------------- *)
 

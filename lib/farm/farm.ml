@@ -78,9 +78,6 @@ type config = Orch.config = {
   fc_adaptive_sync : bool;
       (** scale the sync interval up on quiet barriers, reset on new
           coverage *)
-  fc_promote_share : float;
-      (** > 0: tiered workers + barrier tier promotions at this merged
-          cycle-share threshold; 0.0 (default) = untiered ({!Orch}) *)
 }
 
 let default_config = Orch.default_config
@@ -123,7 +120,6 @@ type worker = {
   wk_id : int;
   wk_session : Odin.Session.t;
   wk_cov : Odin.Cov.t;
-  wk_probes : (int, Instr.Probe.t) Hashtbl.t;  (** pid -> probe, until pruned *)
   wk_corpus : Fuzzer.Corpus.t;  (** shard; replica of the global corpus *)
   wk_recorder : Recorder.t;  (** forked; merged into the farm's at the end *)
   mutable wk_dead : string option;  (** why the worker left the farm *)
@@ -156,12 +152,12 @@ let run ?telemetry ?pool ?cache_dir ?incremental_link ?incremental_sched
     let wr = Recorder.fork ~clock:jclock r in
     let m = Ir.Clone.clone_module base in
     let session =
-      (* tiering pinned to the config, not ODIN_TIER: farm results must
-         not depend on the environment the campaign happens to run in *)
+      (* untiered whatever ODIN_TIER says: farm results must not depend
+         on the environment the campaign happens to run in *)
       Odin.Session.create ~keep:[ entry ]
         ~runtime_globals:[ Odin.Cov.runtime_global m ]
         ~host ~pool ~objects:shared ~owner:i ?cache_dir ?incremental_link
-        ?incremental_sched ~tiered:(cfg.fc_promote_share > 0.) ~telemetry:wr m
+        ?incremental_sched ~tiered:false ~telemetry:wr m
     in
     let cov = Odin.Cov.setup session in
     let dead =
@@ -170,15 +166,10 @@ let run ?telemetry ?pool ?cache_dir ?incremental_link ?incremental_sched
       | Odin.Session.Rolled_back err ->
         Some ("initial build rolled back: " ^ err.Odin.Session.err_msg)
     in
-    let probes = Hashtbl.create 97 in
-    List.iter
-      (fun (p : Instr.Probe.t) -> Hashtbl.replace probes p.Instr.Probe.pid p)
-      (Instr.Manager.to_list session.Odin.Session.manager);
     {
       wk_id = i;
       wk_session = session;
       wk_cov = cov;
-      wk_probes = probes;
       wk_corpus = Fuzzer.Corpus.create ();
       wk_recorder = wr;
       wk_dead = dead;
@@ -247,28 +238,19 @@ let run ?telemetry ?pool ?cache_dir ?incremental_link ?incremental_sched
   in
   (* barrier effects, serial in worker order: every live worker replays
      the accepted entries into its shard (shards stay global replicas,
-     slot or no slot) and takes the prunes and the promotions the merged
-     profile implies — the same set in every session, so within a round
-     all workers still run byte-identical executables. The first
-     survivor compiles the new fragments, the rest hit the shared
-     cache. *)
+     slot or no slot) and takes the prunes — the same set in every
+     session, so within a round all workers still run byte-identical
+     executables. The first survivor compiles the new fragments, the
+     rest hit the shared cache. *)
   let apply (orch : Orch.t) entries pruned =
-    let share = cfg.fc_promote_share in
-    let profile = if share > 0. then Orch.fn_profile orch else [] in
-    let promoted = ref 0 in
     Array.iter
       (fun w ->
         if alive w then begin
           Orch.replay_corpus w.wk_corpus entries;
-          let p, refreshed =
-            Orch.apply_state ~share w.wk_session w.wk_probes ~pruned ~profile
-          in
-          if !promoted = 0 then promoted := List.length p;
-          if refreshed then orch.Orch.o_recompiles <- orch.Orch.o_recompiles + 1
+          if Orch.apply_state w.wk_session ~pruned then
+            orch.Orch.o_recompiles <- orch.Orch.o_recompiles + 1
         end)
-      workers;
-    if !promoted > 0 then
-      Recorder.count (Some r) ~by:!promoted "farm.tier_promotions"
+      workers
   in
   {
     Loop.n_probes = workers.(0).wk_cov.Odin.Cov.total_probes;

@@ -45,13 +45,10 @@ type config = Orch.config = {
   fc_adaptive_sync : bool;
       (** scale the sync interval up on quiet barriers, reset on new
           coverage (off by default) *)
-  fc_promote_share : float;
-      (** > 0: tiered workers + barrier tier promotions at this merged
-          cycle-share threshold; 0.0 (default) = untiered ({!Orch}) *)
 }
 
 (** 1 worker, 400 execs, sync every 100, seed 42, quorum 1, no GC,
-    fixed interval, untiered. *)
+    fixed interval. *)
 val default_config : config
 
 (** Cumulative cost attribution for one probe site across the campaign:
@@ -105,7 +102,7 @@ val dedup_rate : stats -> float
     [incremental_sched:false] (default [true]) give each worker's
     session the full-link / full-walk reference path
     ({!Odin.Session.create}); farm results are bit-identical either
-    way.
+    way. Worker sessions are untiered whatever [ODIN_TIER] says.
 
     [journal]/[journal_path] attach a campaign flight recorder: sync
     and counter-snapshot events are recorded at every barrier, per-probe

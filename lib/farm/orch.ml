@@ -34,15 +34,6 @@ type config = {
       (** scale the sync interval up on quiet barriers, reset on new
           coverage (off by default: a fixed interval is what the
           worker-count-invariance tests pin down) *)
-  fc_promote_share : float;
-      (** tiered compilation: when > 0, worker sessions compile fresh
-          fragments through the tier-0 baseline backend and, at each
-          barrier, fragments whose share of the {e barrier-merged}
-          per-function cycles reaches this threshold are promoted to
-          the optimizing tier — a pure function of merged state, so
-          promotion decisions are bit-identical across worker counts
-          and [--farm-mode domains|procs]. 0.0 (default) keeps every
-          worker untiered, bit-identical to the pre-tier farm. *)
 }
 
 let default_config =
@@ -54,7 +45,6 @@ let default_config =
     fc_prune_quorum = 1;
     fc_cache_limit = None;
     fc_adaptive_sync = false;
-    fc_promote_share = 0.0;
   }
 
 (** Cumulative cost attribution for one probe site across the whole
@@ -129,9 +119,6 @@ type t = {
   o_pruned : (int, unit) Hashtbl.t;
   o_hits_cycles : (int, int ref * int ref) Hashtbl.t;
   o_execs_armed : (int, int) Hashtbl.t;
-  o_fn_cycles : (string, int ref) Hashtbl.t;
-      (** barrier-merged per-function cycle attribution: the global
-          profile tier promotions are decided from *)
   mutable o_corpus : centry list;  (** accepted entries, newest first *)
   mutable o_execs : int;
   mutable o_cycles : int;
@@ -159,7 +146,6 @@ let create ~n_probes (cfg : config) =
     o_pruned = Hashtbl.create 97;
     o_hits_cycles = Hashtbl.create 97;
     o_execs_armed = Hashtbl.create 97;
-    o_fn_cycles = Hashtbl.create 97;
     o_corpus = [];
     o_execs = 0;
     o_cycles = 0;
@@ -172,16 +158,6 @@ let create ~n_probes (cfg : config) =
     o_recompiles = 0;
     o_restarts = 0;
   }
-
-(** The barrier-merged global per-function cycle profile, heaviest
-    first (ties by name) — the same shape as {!Vm.profile_top}, and the
-    deterministic input every worker feeds to
-    [Odin.Session.promote_hot] so promotion decisions cannot depend on
-    worker count or driver substrate. *)
-let fn_profile t =
-  Hashtbl.fold (fun fn c acc -> (fn, !c) :: acc) t.o_fn_cycles []
-  |> List.sort (fun (n1, c1) (n2, c2) ->
-         match compare c2 c1 with 0 -> compare n1 n2 | c -> c)
 
 let pruned_list t =
   Hashtbl.fold (fun pid () acc -> pid :: acc) t.o_pruned [] |> List.sort compare
@@ -269,38 +245,29 @@ let run_slots ?(each = ignore) lost exec idxs =
   List.rev !items
 
 (** Bring one worker's session to the campaign's probe state: remove
-    every probe of [pruned] still in [probes] (the pid table built at
-    setup, which forgets what it removes), queue the tier promotions
-    the merged [profile] implies at threshold [share], and refresh if
-    either changed something or a fragment is still degraded. Returns
-    the promotions queued and whether a refresh landed. The domains
+    every probe of [pruned] the session's manager still holds (it
+    forgets what it removes, so a cumulative pruned set applies only
+    what is new) and refresh if that changed something or a fragment is
+    still degraded. Returns whether a refresh landed. The domains
     barrier, a domains resume and a worker process's [Assign] all go
     through here, so sessions cannot disagree on how state is taken. *)
-let apply_state ~share session probes ~pruned ~profile =
+let apply_state session ~pruned =
+  let manager = session.Odin.Session.manager in
   let removed =
     List.filter
       (fun pid ->
-        match Hashtbl.find_opt probes pid with
+        match Instr.Manager.get manager pid with
         | Some p ->
-          Instr.Manager.remove session.Odin.Session.manager p;
-          Hashtbl.remove probes pid;
+          Instr.Manager.remove manager p;
           true
         | None -> false)
       pruned
   in
-  (* promote_hot is idempotent and [] for an untiered session: a
-     long-lived session queues only what is new, a fresh one catches
-     up on the cumulative set at once *)
-  let promoted = Odin.Session.promote_hot ~threshold:share session profile in
-  let refreshed =
-    (removed <> [] || promoted <> []
-    || Odin.Session.degraded_fragments session <> [])
-    &&
-    match Odin.Session.try_refresh session with
-    | Some (Odin.Session.Ok | Odin.Session.Degraded _) -> true
-    | Some (Odin.Session.Rolled_back _) | None -> false
-  in
-  (promoted, refreshed)
+  (removed <> [] || Odin.Session.degraded_fragments session <> [])
+  &&
+  match Odin.Session.try_refresh session with
+  | Some (Odin.Session.Ok | Odin.Session.Degraded _) -> true
+  | Some (Odin.Session.Rolled_back _) | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* The barrier merge                                                   *)
@@ -351,14 +318,6 @@ let merge_round t items =
     (fun it ->
       t.o_execs <- t.o_execs + 1;
       t.o_cycles <- t.o_cycles + it.Csync.it_cycles;
-      (* merge the execution's per-function cycles into the global
-         profile promotions are decided from *)
-      List.iter
-        (fun (fn, cy) ->
-          match Hashtbl.find_opt t.o_fn_cycles fn with
-          | Some c -> c := !c + cy
-          | None -> Hashtbl.replace t.o_fn_cycles fn (ref cy))
-        it.Csync.it_fns;
       (* one vote per (probe, execution) toward saturation *)
       List.iter (fun pid -> Instr.Votes.record t.o_votes ~pid) it.Csync.it_fired)
     items;
@@ -430,8 +389,9 @@ let probe_costs t =
 (** Bumped whenever the checkpoint payload changes shape; {!Wire}
     rejects mismatches cleanly. v2: the barrier-merged per-function
     cycle profile joined the payload (tier promotions resume from it).
-    v3: votes are integers and the per-worker vote weights are gone. *)
-let ckpt_version = 3
+    v3: votes are integers and the per-worker vote weights are gone.
+    v4: the per-function cycle profile left with farm tier promotion. *)
+let ckpt_version = 4
 
 (** A complete, self-contained snapshot of a campaign at a sync
     barrier. [ck_next] is the mutation-budget cursor (slot RNGs are
@@ -460,7 +420,6 @@ type ckpt = {
   ck_rounds : int;
   ck_execs_armed : (int * int) list;
   ck_probe_cost : (int * int * int) list;  (** (pid, hits, cycles) *)
-  ck_fn_cycles : (string * int) list;  (** merged profile, heaviest first *)
   ck_interval : int;
   ck_quiet : int;
   ck_skipped : int;
@@ -502,7 +461,6 @@ let snapshot t ~digest ~workers ~round ~next =
         (fun pid (h, c) acc -> (pid, !h, !c) :: acc)
         t.o_hits_cycles []
       |> List.sort compare;
-    ck_fn_cycles = fn_profile t;
     ck_interval = t.o_interval;
     ck_quiet = t.o_quiet;
     ck_skipped = t.o_skipped;
@@ -534,9 +492,6 @@ let restore (cfg : config) ck =
   List.iter
     (fun (pid, h, c) -> Hashtbl.replace t.o_hits_cycles pid (ref h, ref c))
     ck.ck_probe_cost;
-  List.iter
-    (fun (fn, cy) -> Hashtbl.replace t.o_fn_cycles fn (ref cy))
-    ck.ck_fn_cycles;
   t.o_corpus <- List.rev ck.ck_corpus;
   t.o_execs <- ck.ck_execs;
   t.o_cycles <- ck.ck_cycles;

@@ -19,15 +19,6 @@ type config = {
       (** scale the sync interval up on quiet barriers, reset on new
           coverage (off by default: a fixed interval is what the
           worker-count-invariance tests pin down) *)
-  fc_promote_share : float;
-      (** tiered compilation: when > 0, worker sessions compile fresh
-          fragments through the tier-0 baseline backend and, at each
-          barrier, fragments whose share of the {e barrier-merged}
-          per-function cycles reaches this threshold are promoted to
-          the optimizing tier — a pure function of merged state, so
-          promotion decisions are bit-identical across worker counts
-          and [--farm-mode domains|procs]. 0.0 (default) keeps every
-          worker untiered, bit-identical to the pre-tier farm. *)
 }
 
 val default_config : config
@@ -92,9 +83,6 @@ type t = {
   o_pruned : (int, unit) Hashtbl.t;
   o_hits_cycles : (int, int ref * int ref) Hashtbl.t;
   o_execs_armed : (int, int) Hashtbl.t;
-  o_fn_cycles : (string, int ref) Hashtbl.t;
-      (** barrier-merged per-function cycle attribution: the global
-          profile tier promotions are decided from *)
   mutable o_corpus : centry list;  (** accepted entries, newest first *)
   mutable o_execs : int;
   mutable o_cycles : int;
@@ -110,12 +98,6 @@ type t = {
 
 val create : n_probes:int -> config -> t
 val pruned_list : t -> int list
-
-(** The barrier-merged global per-function cycle profile, heaviest
-    first (ties by name) — the deterministic input every worker feeds
-    to [Odin.Session.promote_hot], so promotion decisions cannot
-    depend on worker count or driver substrate. *)
-val fn_profile : t -> (string * int) list
 
 (** Accepted corpus entries, acceptance order. *)
 val corpus_entries : t -> centry list
@@ -150,19 +132,12 @@ val run_slots :
   ?each:(int -> unit) -> losses -> (int -> Csync.item) -> int list -> Csync.item list
 
 (** Bring a worker's session to the campaign's probe state: remove the
-    [pruned] probes still in the pid table (which forgets them), queue
-    the promotions the merged [profile] implies at threshold [share],
-    and refresh if either changed something or a fragment is degraded.
-    Returns the promotions queued and whether a refresh landed. The
-    one path for the domains barrier and resume and for a worker
-    process's [Assign]. *)
-val apply_state :
-  share:float ->
-  Odin.Session.t ->
-  (int, Instr.Probe.t) Hashtbl.t ->
-  pruned:int list ->
-  profile:(string * int) list ->
-  int list * bool
+    [pruned] probes its manager still holds (the manager forgets what
+    it removes, so a cumulative set applies only what is new), and
+    refresh if that changed something or a fragment is degraded.
+    Returns whether a refresh landed. The one path for the domains
+    barrier and resume and for a worker process's [Assign]. *)
+val apply_state : Odin.Session.t -> pruned:int list -> bool
 
 (** Merge one barrier's worth of items (sorted by slot index, dead
     lanes excluded). Returns the accepted entries (broadcast order) and
@@ -201,7 +176,6 @@ type ckpt = {
   ck_rounds : int;
   ck_execs_armed : (int * int) list;
   ck_probe_cost : (int * int * int) list;  (** (pid, hits, cycles) *)
-  ck_fn_cycles : (string * int) list;  (** merged profile, heaviest first *)
   ck_interval : int;
   ck_quiet : int;
   ck_skipped : int;

@@ -16,13 +16,13 @@
 
     Every [Assign] frame carries the worker's complete round context:
     the full global-corpus replica (with energies), the full pruned
-    set, the merged profile, and the slot list. A worker rebuilds its
-    shard from scratch each round and takes the probe state through
-    {!Orch.apply_state}, so barrier effects need no delivery of their
-    own, and a killed worker is restarted by re-sending the very same
-    frame — the partial results of the killed attempt are discarded and
-    the re-run reproduces them bit-identically (slots are pure
-    functions of [(seed, slot, round-start replica)]). Its votes are
+    set, and the slot list. A worker rebuilds its shard from scratch
+    each round and takes the probe state through {!Orch.apply_state},
+    so barrier effects need no delivery of their own, and a killed
+    worker is restarted by re-sending the very same frame — the partial
+    results of the killed attempt are discarded and the re-run
+    reproduces them bit-identically (slots are pure functions of
+    [(seed, slot, round-start replica)]). Its votes are
     therefore the same evidence an unkilled worker would cast, and
     count the same. Coverage, corpus and cycles are invariant across
     worker counts, across [--farm-mode domains|procs], and across any
@@ -56,31 +56,24 @@
 let worker_init (init : Wire.init) =
   let m = Ir.Parse.module_of_string ~name:init.Wire.in_mod_name init.Wire.in_mod_text in
   let session =
+    (* untiered whatever ODIN_TIER says, like the domains lanes *)
     Odin.Session.create ~keep:[ init.Wire.in_entry ]
       ~runtime_globals:[ Odin.Cov.runtime_global m ]
       ~host:init.Wire.in_host ~pool:Support.Pool.serial
-      ?cache_dir:init.Wire.in_cache_dir
-      ~tiered:(init.Wire.in_promote_share > 0.) m
+      ?cache_dir:init.Wire.in_cache_dir ~tiered:false m
   in
   let cov = Odin.Cov.setup session in
   (match Odin.Session.try_build session with
   | Odin.Session.Ok | Odin.Session.Degraded _ -> ()
   | Odin.Session.Rolled_back err ->
     failwith ("initial build rolled back: " ^ err.Odin.Session.err_msg));
-  let probes : (int, Instr.Probe.t) Hashtbl.t = Hashtbl.create 97 in
-  List.iter
-    (fun (p : Instr.Probe.t) -> Hashtbl.replace probes p.Instr.Probe.pid p)
-    (Instr.Manager.to_list session.Odin.Session.manager);
   let run_assign ~send (a : Wire.assign) =
     (* stateless round context: rebuild the shard replica, then take
        the campaign's probe state (only what this process has not
        applied yet changes anything) *)
     let corpus = Fuzzer.Corpus.create () in
     Orch.replay_corpus corpus a.Wire.as_corpus;
-    let _, refreshed =
-      Orch.apply_state ~share:init.Wire.in_promote_share session probes
-        ~pruned:a.Wire.as_pruned ~profile:a.Wire.as_fn_cycles
-    in
+    let refreshed = Orch.apply_state session ~pruned:a.Wire.as_pruned in
     let heartbeat n = send (Wire.Heartbeat { hb_round = a.Wire.as_round; hb_done = n }) in
     heartbeat 0;
     let lost = { Orch.skipped = 0; crashes = 0 } in
@@ -152,7 +145,6 @@ let run ?telemetry ?cache_dir ?journal ?journal_path
       in_mod_name = base.Ir.Modul.mname;
       in_mod_text = mod_text;
       in_cache_dir = cache_dir;
-      in_promote_share = cfg.Orch.fc_promote_share;
     }
   in
   let proto =
@@ -181,14 +173,10 @@ let run ?telemetry ?cache_dir ?journal ?journal_path
   let restarts = ref 0 in
   let round (orch : Orch.t) ~round jobs =
     let as_corpus = Orch.corpus_entries orch and as_pruned = Orch.pruned_list orch in
-    let as_fn_cycles =
-      if cfg.Orch.fc_promote_share > 0. then Orch.fn_profile orch else []
-    in
     let items = ref [] in
     Supervise.round sup
       (List.map
-         (fun (id, as_slots) ->
-           (id, { Wire.as_round = round; as_slots; as_corpus; as_pruned; as_fn_cycles }))
+         (fun (id, as_slots) -> (id, { Wire.as_round = round; as_slots; as_corpus; as_pruned }))
          jobs)
       ~on_result:(fun _ im ->
         orch.Orch.o_skipped <- orch.Orch.o_skipped + im.Wire.im_skipped;

@@ -5,8 +5,8 @@
     over pipes.
 
     Workers are stateless between rounds — every [Assign] frame carries
-    the full round context (corpus replica, pruned set, merged
-    profile), so barrier effects reach them with the next assignment —
+    the full round context (corpus replica, pruned set), so barrier
+    effects reach them with the next assignment —
     and a worker killed at any point (including by the supervisor's
     preemptive heartbeat watchdog) is restarted and re-sent the same
     assignment, reproducing its results, and so its prune votes,

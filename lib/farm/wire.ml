@@ -45,8 +45,11 @@ let magic = "ODNW"
    barrier-merged per-function cycle profile promotions are decided
    from, and the checkpoint payload moved to ckpt v2.
    v4: Init dropped the incremental link/scheduler mode fields.
-   v5: Init dropped the partition mode (workers always partition Auto). *)
-let version = 5
+   v5: Init dropped the partition mode (workers always partition Auto).
+   v6: farm tier promotion is gone — Init dropped the promotion
+   threshold, Assign the merged profile, and the checkpoint payload
+   moved to ckpt v4. *)
+let version = 6
 let header_len = 14
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Wire_error m)) fmt
@@ -226,11 +229,6 @@ let w_ckpt b (ck : Orch.ckpt) =
       w_i64 b h;
       w_i64 b cy)
     ck.ck_probe_cost;
-  w_list b
-    (fun b (fn, cy) ->
-      w_str b fn;
-      w_i64 b cy)
-    ck.ck_fn_cycles;
   w_i64 b ck.ck_interval;
   w_i64 b ck.ck_quiet;
   w_i64 b ck.ck_skipped;
@@ -280,12 +278,6 @@ let r_ckpt c =
         let cy = r_i64 c in
         (pid, h, cy))
   in
-  let ck_fn_cycles =
-    r_list c (fun c ->
-        let fn = r_str c in
-        let cy = r_i64 c in
-        (fn, cy))
-  in
   let ck_interval = r_i64 c in
   let ck_quiet = r_i64 c in
   let ck_skipped = r_i64 c in
@@ -316,7 +308,6 @@ let r_ckpt c =
     ck_rounds;
     ck_execs_armed;
     ck_probe_cost;
-    ck_fn_cycles;
     ck_interval;
     ck_quiet;
     ck_skipped;
@@ -342,9 +333,6 @@ type init = {
   in_mod_name : string;
   in_mod_text : string;
   in_cache_dir : string option;
-  in_promote_share : float;
-      (** > 0: run the worker's session tiered; the threshold it feeds
-          to [Odin.Session.promote_hot] each round. 0.0: untiered. *)
 }
 
 (** One round's work order. Carries the {e full} global corpus replica
@@ -356,11 +344,6 @@ type assign = {
   as_slots : int list;
   as_corpus : Orch.centry list;  (** acceptance order *)
   as_pruned : int list;  (** ascending *)
-  as_fn_cycles : (string * int) list;
-      (** barrier-merged global cycle profile, heaviest first; a tiered
-          worker re-derives the cumulative promotion set from it
-          ([promote_hot] is idempotent), so a freshly restarted worker
-          catches up on every promotion it missed *)
 }
 
 (** One round's results: the items for the assigned slots (slot order)
@@ -409,8 +392,7 @@ let encode_payload b = function
     w_list b w_str i.in_seeds;
     w_str b i.in_mod_name;
     w_str b i.in_mod_text;
-    w_opt b w_str i.in_cache_dir;
-    w_f64 b i.in_promote_share
+    w_opt b w_str i.in_cache_dir
   | Ready { rd_id; rd_n_probes } ->
     w_i64 b rd_id;
     w_i64 b rd_n_probes
@@ -418,12 +400,7 @@ let encode_payload b = function
     w_i64 b a.as_round;
     w_list b w_i64 a.as_slots;
     w_list b w_centry a.as_corpus;
-    w_list b w_i64 a.as_pruned;
-    w_list b
-      (fun b (fn, cy) ->
-        w_str b fn;
-        w_i64 b cy)
-      a.as_fn_cycles
+    w_list b w_i64 a.as_pruned
   | Heartbeat { hb_round; hb_done } ->
     w_i64 b hb_round;
     w_i64 b hb_done
@@ -451,19 +428,8 @@ let decode_payload tag c =
     let in_mod_name = r_str c in
     let in_mod_text = r_str c in
     let in_cache_dir = r_opt c r_str in
-    let in_promote_share = r_f64 c in
     Init
-      {
-        in_id;
-        in_seed;
-        in_entry;
-        in_host;
-        in_seeds;
-        in_mod_name;
-        in_mod_text;
-        in_cache_dir;
-        in_promote_share;
-      }
+      { in_id; in_seed; in_entry; in_host; in_seeds; in_mod_name; in_mod_text; in_cache_dir }
   | 2 ->
     let rd_id = r_i64 c in
     let rd_n_probes = r_i64 c in
@@ -473,13 +439,7 @@ let decode_payload tag c =
     let as_slots = r_list c r_i64 in
     let as_corpus = r_list c r_centry in
     let as_pruned = r_list c r_i64 in
-    let as_fn_cycles =
-      r_list c (fun c ->
-          let fn = r_str c in
-          let cy = r_i64 c in
-          (fn, cy))
-    in
-    Assign { as_round; as_slots; as_corpus; as_pruned; as_fn_cycles }
+    Assign { as_round; as_slots; as_corpus; as_pruned }
   | 4 ->
     let hb_round = r_i64 c in
     let hb_done = r_i64 c in

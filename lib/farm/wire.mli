@@ -31,9 +31,6 @@ type init = {
   in_mod_name : string;
   in_mod_text : string;
   in_cache_dir : string option;
-  in_promote_share : float;
-      (** > 0: run the worker's session tiered; the threshold it feeds
-          to [Odin.Session.promote_hot] each round. 0.0: untiered. *)
 }
 
 (** One round's work order. Carries the {e full} global corpus replica
@@ -45,11 +42,6 @@ type assign = {
   as_slots : int list;
   as_corpus : Orch.centry list;  (** acceptance order *)
   as_pruned : int list;  (** ascending *)
-  as_fn_cycles : (string * int) list;
-      (** barrier-merged global cycle profile, heaviest first; a tiered
-          worker re-derives the cumulative promotion set from it
-          ([promote_hot] is idempotent), so a freshly restarted worker
-          catches up on every promotion it missed *)
 }
 
 (** One round's results: items for the assigned slots (slot order) plus

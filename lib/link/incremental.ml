@@ -795,6 +795,9 @@ let relink ?(incremental = true) ?(host = []) t ~changed
       (code_capacity (max ncode hw_code), data_capacity (max dtotal hw_data))
     in
     let state, resolved = full_link ~cap ~host objs in
+    (* one slab per name: two objects sharing one would share a slab *)
+    if Hashtbl.length state.s_slabs <> List.length objs then
+      invalid_arg "Incremental.relink: two objects share a name";
     t.state <- Some state;
     t.stats.st_full <- t.stats.st_full + 1;
     t.last <-

@@ -120,8 +120,9 @@ val data_capacity : int -> int
     reusing the previous link when possible. [changed] names the
     objects (by [o_name]) whose contents differ from the previous call;
     every other object must be byte-identical to what it was. Object
-    names must be distinct: the link state is keyed by [o_name].
-    [incremental:false] forces a full link (fresh slabs).
+    names must be distinct, because the link state is keyed by
+    [o_name]; the patch path accepts only the name list its last full
+    link stored. [incremental:false] forces a full link (fresh slabs).
 
     Declares the ["link"] fault site (every call) and the
     ["link.patch"] site (patch path only; supports raise / transient /
@@ -129,7 +130,9 @@ val data_capacity : int -> int
     @raise Linker.Duplicate_symbol and
     @raise Linker.Undefined_symbol with the same diagnostics as {!link}
     (the patch path falls back rather than diagnose)
-    @raise Linker.Link_error when a torn patch is detected *)
+    @raise Linker.Link_error when a torn patch is detected
+    @raise Invalid_argument when two objects share a name (unlike
+    {!link}, which accepts it) *)
 val relink :
   ?incremental:bool ->
   ?host:string list ->

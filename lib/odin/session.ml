@@ -449,9 +449,7 @@ let promote t fids =
     [Vm.profile_top]), accumulate heat per fragment through the plan's
     symbol->fragment index and queue every tier-0 fragment whose share
     of the total cycles is at least [threshold]. Returns the fragment
-    ids newly queued, ascending — a pure function of its input, so
-    every farm worker reaches the same promotion set from the merged
-    profile. *)
+    ids newly queued, ascending. *)
 let promote_hot ?(threshold = 0.05) t fn_cycles =
   if not t.tiered then []
   else begin

@@ -289,8 +289,7 @@ val promote : t -> int list -> unit
     [Vm.profile_top]) into per-fragment heat through the plan's
     symbol->fragment index and queue every tier-0 fragment whose share
     of total cycles is at least [threshold] (default 0.05). Returns the
-    newly queued fragment ids, ascending. Pure in its input: every farm
-    worker derives the same promotion set from the same merged profile. *)
+    newly queued fragment ids, ascending. *)
 val promote_hot : ?threshold:float -> t -> (string * int) list -> int list
 
 (** Cumulative tier accounting: fresh compiles and modelled compile

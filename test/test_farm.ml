@@ -190,6 +190,49 @@ let test_votes () =
   Alcotest.(check (list (pair int int)))
     "restore round-trips" (Instr.Votes.entries v) (Instr.Votes.entries v')
 
+(* ---------------- probe state ----------------------------------------- *)
+
+(* Workers keep no pid table: apply_state finds pruned probes through
+   the session's manager, which forgets what it removes, so the
+   cumulative pruned set an Assign carries applies only what is new. *)
+let test_apply_state_takes_only_new () =
+  let telemetry = Telemetry.Recorder.create () in
+  let m = Workloads.Generate.compile tiny in
+  let s =
+    Odin.Session.create ~keep:[ entry ]
+      ~runtime_globals:[ Odin.Cov.runtime_global m ]
+      ~host:Workloads.Generate.host_functions ~tiered:false ~telemetry m
+  in
+  ignore (Odin.Cov.setup s);
+  ignore (Odin.Session.build s);
+  let manager = s.Odin.Session.manager in
+  let pruned =
+    match Instr.Manager.to_list manager with
+    | p :: q :: _ -> [ p.Instr.Probe.pid; q.Instr.Probe.pid ]
+    | _ -> Alcotest.fail "fewer than two probes"
+  in
+  let rebuilds () =
+    List.fold_left
+      (fun acc c ->
+        if Telemetry.Metrics.counter_name c = "session.rebuilds" then
+          acc + Telemetry.Metrics.value c
+        else acc)
+      0
+      (Telemetry.Metrics.counters telemetry.Telemetry.Recorder.metrics)
+  in
+  let built = rebuilds () in
+  Alcotest.(check bool) "first application refreshes" true
+    (Farm.Orch.apply_state s ~pruned);
+  Alcotest.(check int) "one rebuild" (built + 1) (rebuilds ());
+  List.iter
+    (fun pid ->
+      Alcotest.(check bool) (Printf.sprintf "probe %d removed" pid) true
+        (Instr.Manager.get manager pid = None))
+    pruned;
+  Alcotest.(check bool) "same cumulative set: no refresh" false
+    (Farm.Orch.apply_state s ~pruned);
+  Alcotest.(check int) "no further rebuild" (built + 1) (rebuilds ())
+
 (* ---------------- adaptive sync intervals ------------------------------ *)
 
 let test_adaptive_interval () =
@@ -574,6 +617,11 @@ let () =
       ( "votes",
         [
           Alcotest.test_case "tally, quorum, merge" `Quick test_votes;
+        ] );
+      ( "probe state",
+        [
+          Alcotest.test_case "apply_state takes only what is new" `Quick
+            test_apply_state_takes_only_new;
         ] );
       ( "adaptive sync",
         [

@@ -89,7 +89,6 @@ let sample_init =
       in_mod_name = "m";
       in_mod_text = "module text\nwith newline \x00 and nul";
       in_cache_dir = Some "/tmp/x";
-      in_promote_share = 0.05;
     }
 
 let sample_assign =
@@ -100,7 +99,6 @@ let sample_assign =
       as_corpus =
         [ { Orch.ce_input = "in-0"; ce_energy = 3; ce_cycles = 77; ce_fresh = 2 } ];
       as_pruned = [ 1; 4 ];
-      as_fn_cycles = [ ("hot", 900); ("cold", 1) ];
     }
 
 let sample_items =
@@ -189,8 +187,8 @@ let test_wire_torn_and_corrupt () =
       Wire.decode_frame (flip frame 10));
   expect_wire_error "trailing garbage" (fun () ->
       Wire.decode_frame (frame ^ "x"));
-  (* v5: Init dropped the partition mode *)
-  Alcotest.(check int) "protocol version pinned" 5 Wire.version;
+  (* v6: Init and Assign dropped the farm tier-promotion fields *)
+  Alcotest.(check int) "protocol version pinned" 6 Wire.version;
   Alcotest.(check int) "header length pinned" 14 Wire.header_len
 
 (* ---------------- checkpoint files ------------------------------------- *)
@@ -234,6 +232,74 @@ let test_checkpoint_file () =
   match Wire.load_checkpoint path with
   | Ok _ -> Alcotest.fail "loaded a missing checkpoint"
   | Error _ -> ()
+
+(* a checkpoint from an older build is a typed error, not a misparse:
+   the frame is intact, only the payload's version stamp is old *)
+let test_checkpoint_old_version () =
+  with_tmp_dir "ckold" @@ fun dir ->
+  let _, ck = make_ckpt dir in
+  let old = Orch.ckpt_version - 1 in
+  let path = Filename.concat dir "old" in
+  Alcotest.(check bool) "published" true
+    (Wire.write_checkpoint path { ck with Orch.ck_version = old });
+  (match Wire.read_checkpoint path with
+  | _ -> Alcotest.fail "read an old checkpoint"
+  | exception Wire.Wire_error m ->
+    Alcotest.(check bool) ("names the version: " ^ m) true
+      (String.starts_with ~prefix:(Printf.sprintf "checkpoint version %d" old) m));
+  match Wire.load_checkpoint path with
+  | Ok _ -> Alcotest.fail "loaded an old checkpoint"
+  | Error _ -> ()
+
+(* Hostile payloads: overwrite 1-4 payload bytes and/or truncate the
+   payload, then re-stamp the header's length and checksum so the
+   damage reaches the payload decoder instead of the MD5 check. Every
+   frame kind plus a real checkpoint must decode to a message or raise
+   Wire_error, nothing else. *)
+let hostile_frames =
+  lazy
+    (let ck =
+       with_tmp_dir "hostile" @@ fun dir -> Wire.Checkpoint (snd (make_ckpt dir))
+     in
+     List.map Wire.encode_frame (sample_msgs @ [ ck ]))
+
+let restamp frame ~overwrite ~cut =
+  let h = Wire.header_len in
+  let payload = Bytes.of_string (String.sub frame h (String.length frame - h)) in
+  let n = Bytes.length payload in
+  if n > 0 then
+    List.iter (fun (pos, byte) -> Bytes.set payload (pos mod n) (Char.chr byte)) overwrite;
+  let payload =
+    match cut with
+    | Some k when n > 0 -> Bytes.sub_string payload 0 (k mod n)
+    | _ -> Bytes.to_string payload
+  in
+  let header = Bytes.of_string (String.sub frame 0 h) in
+  let len = String.length payload in
+  for i = 0 to 3 do
+    Bytes.set header (6 + i) (Char.chr ((len lsr (8 * i)) land 0xff))
+  done;
+  Bytes.blit_string (Digest.string payload) 0 header 10 4;
+  Bytes.to_string header ^ payload
+
+let prop_hostile_payloads =
+  let pos = QCheck2.Gen.int_bound (1 lsl 30) in
+  let overwrite = QCheck2.Gen.(list_size (int_range 1 4) (pair pos (int_bound 255))) in
+  QCheck2.Test.make ~name:"hostile payloads decode or raise Wire_error" ~count:10000
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun o -> (o, None)) overwrite;
+          map (fun k -> ([], Some k)) pos;
+          map2 (fun o k -> (o, Some k)) overwrite pos;
+        ])
+    (fun (overwrite, cut) ->
+      List.for_all
+        (fun frame ->
+          match Wire.decode_frame (restamp frame ~overwrite ~cut) with
+          | _ -> true
+          | exception Wire.Wire_error _ -> true)
+        (Lazy.force hostile_frames))
 
 (* ---------------- substrate invariance --------------------------------- *)
 
@@ -467,11 +533,16 @@ let () =
             test_wire_roundtrip;
           Alcotest.test_case "torn + corrupt frames rejected" `Quick
             test_wire_torn_and_corrupt;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick
+            ~rand:(Random.State.make [| 28 |])
+            prop_hostile_payloads;
         ] );
       ( "checkpoint file",
         [
           Alcotest.test_case "publish, rotate, torn fallback" `Quick
             test_checkpoint_file;
+          Alcotest.test_case "older version is a typed error" `Quick
+            test_checkpoint_old_version;
         ] );
       ( "invariance",
         [

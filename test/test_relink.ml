@@ -262,6 +262,20 @@ let test_cost_model () =
     inc.Incr.ls_cost;
   Alcotest.(check bool) "patch is cheaper" true (inc.Incr.ls_cost < full.Incr.ls_cost)
 
+(* The link state is keyed by object name, so the persistent link
+   refuses two objects that share one; the one-shot link, which keeps
+   no state, accepts them. *)
+let test_shared_name_refused () =
+  let objs = [ obj "m" [ code "f" ]; obj "m" [ code "g" ] ] in
+  let t = Incr.create () in
+  (match Incr.relink t ~changed:[] objs with
+  | _ -> Alcotest.fail "relink accepted two objects named m"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "nothing linked" 0 (Incr.stats t).Incr.st_full;
+  let exe = Incr.link objs in
+  Alcotest.(check bool) "one-shot link places both" true
+    (addr exe "f" <> addr exe "g")
+
 (* ---------------- units: diagnostics ---------------- *)
 
 let message_of f =
@@ -469,6 +483,8 @@ let () =
             test_growth_within_slab_and_reverse_index;
           Alcotest.test_case "fallback triggers" `Quick test_fallback_triggers;
           Alcotest.test_case "cost model" `Quick test_cost_model;
+          Alcotest.test_case "shared object name refused" `Quick
+            test_shared_name_refused;
         ] );
       ( "diagnostics",
         [

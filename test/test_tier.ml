@@ -5,23 +5,10 @@
    reachable from an untiered session too. A fully-promoted tiered
    session serves bit-identical objects and traces to an ODIN_TIER=0
    session; a promotion reaches the next execution, which runs on the
-   image it was created with; farm promotion decisions are a pure
-   function of the barrier-merged profile, hence bit-identical across
-   worker counts and driver substrates; and a torn tier-swap patch
-   rolls back to the tier-0 image with the promotion queue intact. *)
+   image it was created with; and a torn tier-swap patch rolls back to
+   the tier-0 image with the promotion queue intact. *)
 
-module Pool = Support.Pool
 module Fault = Support.Fault
-
-(* Re-exec shim for the process-farm determinism matrix (same trick as
-   test_proc: the test binary doubles as the worker executable). *)
-let () =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "fuzz-worker" then begin
-    Farm.Proc.worker_main ();
-    exit 0
-  end
-
-let worker_argv = [| Sys.executable_name; "fuzz-worker" |]
 
 (* ---------------- session-level helpers ---------------- *)
 
@@ -317,84 +304,6 @@ let test_torn_tier_swap_rolls_back () =
   Alcotest.(check bool) "retry promoted to the untiered image" true
     (fingerprint s = fingerprint (make_session ~tiered:false ()))
 
-(* ---------------- farm: promotion determinism ---------------- *)
-
-let tiny = Workloads.Profile.tiny
-let entry = Fuzzer.Campaign.entry
-let seeds = Workloads.Generate.seed_inputs ~count:2 tiny
-
-let farm_cfg workers =
-  {
-    Farm.default_config with
-    Farm.fc_workers = workers;
-    fc_execs = 60;
-    fc_sync_interval = 20;
-    fc_prune_quorum = 1;
-    fc_promote_share = 0.01;
-  }
-
-let logical st =
-  ( st.Farm.fs_coverage,
-    st.Farm.fs_pruned,
-    st.Farm.fs_corpus,
-    st.Farm.fs_execs,
-    st.Farm.fs_total_cycles )
-
-let counter_total (r : Telemetry.Recorder.t) name =
-  List.fold_left
-    (fun acc c ->
-      if Telemetry.Metrics.counter_name c = name then
-        acc + Telemetry.Metrics.value c
-      else acc)
-    0
-    (Telemetry.Metrics.counters r.Telemetry.Recorder.metrics)
-
-let test_farm_promotion_determinism () =
-  let m = Workloads.Generate.compile tiny in
-  let run_domains workers =
-    let telemetry = Telemetry.Recorder.create () in
-    let st = Farm.run ~telemetry ~pool:Pool.serial ~entry ~seeds (farm_cfg workers) m in
-    (logical st, counter_total telemetry "farm.tier_promotions")
-  in
-  let base, promotions = run_domains 1 in
-  (* the campaign must actually exercise tiered workers *)
-  Alcotest.(check bool)
-    (Printf.sprintf "promotions happened (%d)" promotions)
-    true (promotions > 0);
-  List.iter
-    (fun w ->
-      let st, p = run_domains w in
-      Alcotest.(check bool)
-        (Printf.sprintf "domains w=%d bit-identical to w=1" w)
-        true (st = base);
-      Alcotest.(check int)
-        (Printf.sprintf "domains w=%d same promotion count" w)
-        promotions p)
-    [ 2; 4 ];
-  (* the process driver reaches the same promotion set: the merged
-     profile travels in the Assign frame and promote_hot is pure *)
-  List.iter
-    (fun w ->
-      let st =
-        Farm.Proc.run ~worker_argv ~entry ~seeds (farm_cfg w) m
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "procs w=%d bit-identical to domains w=1" w)
-        true (logical st = base))
-    [ 2 ]
-
-(* a promote-share of zero must leave the farm byte-identical to the
-   pre-tier code path *)
-let test_farm_share_zero_untiered () =
-  let m = Workloads.Generate.compile tiny in
-  let run share =
-    let cfg = { (farm_cfg 2) with Farm.fc_promote_share = share } in
-    logical (Farm.run ~pool:Pool.serial ~entry ~seeds cfg m)
-  in
-  let untiered = run 0.0 in
-  (* share 0 twice: trivially stable *)
-  Alcotest.(check bool) "share=0 reproducible" true (run 0.0 = untiered)
-
 let () =
   Alcotest.run "tier"
     [
@@ -423,12 +332,5 @@ let () =
         [
           Alcotest.test_case "torn tier-swap patch rolls back" `Quick
             test_torn_tier_swap_rolls_back;
-        ] );
-      ( "farm",
-        [
-          Alcotest.test_case "promotion determinism, domains 1/2/4 + procs"
-            `Slow test_farm_promotion_determinism;
-          Alcotest.test_case "share 0 stays untiered" `Quick
-            test_farm_share_zero_untiered;
         ] );
     ]
